@@ -81,14 +81,15 @@ def _invariant_subspace(closure_mats: list[Mat], n: int):
 
 
 def _specialized_full(mats: list[Mat], n: int) -> bool:
-    """Sound fast path: substitute every transcendental constant (keeping z)
-    by fixed rationals and test fullness there. Rank can only drop under
-    specialization, so a full specialized closure certifies a full generic
-    closure; a non-full one proves nothing."""
+    """Sound fast path: substitute p and every constant occurring in the
+    entries (keeping z and w) by fixed rationals and test fullness there. Rank
+    can only drop under specialization, so a full specialized closure
+    certifies a full generic closure; a non-full one proves nothing."""
     from fractions import Fraction
-    from . import scalars as sc
     from .scalars import PoleAtPoint
-    names = ["p"] + sorted(sc._consts)
+    occurring = {nm for m in mats for row in m.data for x in row
+                 for nm in x.names()}
+    names = ["p"] + sorted(occurring - {"p", "z", "w"})
     primes = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
     for attempt in range(3):
         point = {nm: Rat(Fraction(primes[(k + attempt) % len(primes)],

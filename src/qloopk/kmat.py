@@ -20,7 +20,7 @@ from .rmat import CheckReport, _first_nonzero, solve_R
 from .rootdata import (GradingShift, QSPParams, SatakeDiagram,
                        classical_in_root_basis, shift_exponent,
                        theta_on_coroots, theta_on_roots)
-from .scalars import Rat, one, z as z_var, w as w_var, zero
+from .scalars import Poly, Rat, one, z as z_var, w as w_var, zero
 
 
 class KmatError(Exception):
@@ -58,7 +58,7 @@ def _cartan_fixed_generators(diagram: SatakeDiagram) -> list[tuple[int, ...]]:
     m = sp.Matrix(n1, n1, lambda r, c: sp.Rational(cols[c][r]) - (1 if r == c else 0))
     out = []
     for v in m.nullspace():
-        den = sp.lcm([sp.fraction(sp.Rational(x))[1] for x in v])
+        den = sp.lcm([sp.Rational(x).q for x in v])
         w = [int(x * den) for x in v]
         g = 0
         for x in w:
@@ -335,37 +335,20 @@ def _pr_value(rep: Rep, k: int) -> Fraction:
 def _rewrite_power(x: Rat, H: int) -> Rat:
     """Rewrite a rational function of z that depends only on z^H as a
     function of z (i.e. substitute z^H -> z)."""
-    from . import scalars as sc
 
-    def shrink(poly):
-        import sympy as sp
-        terms = poly.terms
-        if not terms:
-            return sp.Integer(0), 0
-        zi = 1  # z is the second generator
-        exps = [t[0][zi] for t in terms]
-        r = exps[0] % H
-        if any(e % H != r for e in exps):
+    def shrink(poly: Poly) -> tuple[Poly, int]:
+        # z is the second generator
+        r = poly.terms[0][0][1] % H if poly.terms else 0
+        if any(e[1] % H != r for e, _ in poly.terms):
             raise KmatError("entry is not a function of z^H")
-        gens = sc._gens()
-        out = sp.Integer(0)
-        for exp_tuple, coeff in terms:
-            mono = sp.Rational(coeff.numerator, coeff.denominator)
-            for g, e in zip(gens, exp_tuple):
-                if g is sc.Z:
-                    e = (e - r) // H
-                if e:
-                    mono *= g ** e
-            out += mono
-        return out, r
+        return Poly(tuple((e[:1] + ((e[1] - r) // H,) + e[2:], c)
+                          for e, c in poly.terms)), r
 
     ne, rn = shrink(x.num())
     de, rd = shrink(x.den())
     if (rn - rd) % H != 0:
         raise KmatError("entry is not a function of z^H")
-    shift = (rn - rd) // H
-    from . import scalars as sc2
-    return Rat(ne) * (sc2.z ** shift) / Rat(de)
+    return Rat(ne) * z_var ** ((rn - rd) // H) / Rat(de)
 
 
 def convert_grading(Kpr: KMatrixResult, V: Rep) -> Mat:

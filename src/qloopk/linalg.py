@@ -69,15 +69,6 @@ class Mat:
         i, j = ij
         return self.data[i][j]
 
-    def row(self, i):
-        return list(self.data[i])
-
-    def col(self, j):
-        return [self.data[i][j] for i in range(self.nrows)]
-
-    def copy(self) -> "Mat":
-        return Mat([row[:] for row in self.data])
-
     def shape(self):
         return (self.nrows, self.ncols)
 
@@ -210,10 +201,6 @@ def flip(dim_v: int, dim_w: int) -> Mat:
     return out
 
 
-def _complexity(x: Rat) -> int:
-    return x.num().total_degree() + x.den().total_degree()
-
-
 def rref(m: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form; returns (R, pivot_columns).
 
@@ -231,7 +218,7 @@ def rref(m: Mat) -> tuple[Mat, list[int]]:
         best, bestscore = -1, None
         for i in range(r, nr):
             if not a[i][c].is_zero():
-                score = _complexity(a[i][c])
+                score = a[i][c].degree()
                 if bestscore is None or score < bestscore:
                     best, bestscore = i, score
         if best < 0:
@@ -279,21 +266,6 @@ def invert(m: Mat) -> Mat:
     return Mat([row[n:] for row in r.data])
 
 
-def solve(m: Mat, rhs) -> list[Rat]:
-    """Unique solution of m x = rhs; raises if inconsistent or underdetermined."""
-    aug = Mat([row[:] + [rhs[i] if isinstance(rhs[i], Rat) else Rat(rhs[i])]
-               for i, row in enumerate(m.data)])
-    r, pivots = rref(aug)
-    if m.ncols in pivots:
-        raise LinalgError("inconsistent system")
-    if len(pivots) < m.ncols:
-        raise LinalgError("underdetermined system")
-    x = [zero] * m.ncols
-    for i, c in enumerate(pivots):
-        x[c] = r.data[i][m.ncols]
-    return x
-
-
 class SpanBasis:
     """Incrementally reduced echelon basis of a subspace of row vectors.
 
@@ -324,7 +296,7 @@ class SpanBasis:
         pivot, score = -1, None
         for c in range(self.ncols):
             if not v[c].is_zero():
-                s = _complexity(v[c])
+                s = v[c].degree()
                 if score is None or s < score:
                     pivot, score = c, s
         if pivot < 0:

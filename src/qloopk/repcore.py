@@ -44,12 +44,6 @@ class Rep:
     def classical_weight(self, k: int) -> tuple[Fraction, ...]:
         return self.weights[k][1:]
 
-    def weight_decompose(self) -> dict[tuple, list[int]]:
-        out: dict[tuple, list[int]] = {}
-        for k in range(self.dim):
-            out.setdefault(self.classical_weight(k), []).append(k)
-        return out
-
     def conjugated(self, C: Mat, label: str = "") -> "Rep":
         """The equivalent module with action x ↦ C x C^{-1}.
 
@@ -256,27 +250,6 @@ def coproduct_op(v: Rep, w: Rep) -> Rep:
                     for k in range(v.dim) for l in range(w.dim))
     return Rep(cd, v.dim * w.dim, E, F, K, weights,
                f"({v.label})⊗op({w.label})")
-
-
-class ShiftedRep:
-    """A module composed with a grading shift at spectral parameter ``zval``:
-    E_i picks up z^{s_i}, F_i picks up z^{-s_i}, K_i is unchanged."""
-
-    def __init__(self, rep: Rep, shift, zval):
-        if shift.cartan != rep.cartan:
-            raise DatumMismatch("shift over a different datum")
-        self.rep = rep
-        self.shift = shift
-        self.zval = zval if isinstance(zval, Rat) else Rat(zval)
-
-    def E(self, i: int) -> Mat:
-        return self.rep.E[i].scale(self.zval ** self.shift.s[i])
-
-    def F(self, i: int) -> Mat:
-        return self.rep.F[i].scale(self.zval ** (-self.shift.s[i]))
-
-    def K(self, i: int) -> Mat:
-        return self.rep.K[i]
 
 
 def pullback_chevalley_tau(rep: Rep, tau, label: str = "") -> Rep:

@@ -140,13 +140,6 @@ def bilinear(mu: RootVec, nu: RootVec) -> Fraction:
     return out
 
 
-def bilinear_form(cartan: CartanDatum, mu: RootVec, nu: RootVec) -> Rat:
-    if mu.cartan != cartan or nu.cartan != cartan:
-        raise DatumMismatch("vectors not over the given datum")
-    v = bilinear(mu, nu)
-    return Rat(v)
-
-
 def reflect(mu: RootVec, i: int) -> RootVec:
     return mu - mu.cartan.alpha(i).scale(mu.pair_coroot(i))
 

@@ -1,25 +1,44 @@
 """Exact rational-function arithmetic in the deformation and spectral parameters.
 
 Every scalar in the library is a :class:`Rat`: a reduced fraction of
-multivariate Laurent polynomials with rational coefficients in
+multivariate polynomials with integer coefficients in
 
 * ``p`` -- a square root of the quantum parameter, ``q = p**2`` (half-integer
   powers of ``q`` arise from the Cartan correction exponent);
 * ``z``, ``w`` -- spectral parameters;
 * any number of named constants (evaluation points ``a, b, ...``, coideal
-  parameters ``g0, g1, s0, s1, ...``) registered on first use.
+  parameters ``g0, g1, s0, s1, ...``) registered on first use by :func:`const`.
 
-Internally values are sympy expressions kept in cancelled form; the public
-surface (canonical printing, parsing, substitution, numerator/denominator
-access) is library-agnostic.
+A value is an element of one sparse fraction field over ZZ (sympy's
+``FracField``, graded-lex order) on ``p, z, w`` and then the registered
+constants in sorted order. Registering a constant rebuilds the field; older
+values move to it when next used. Printing, hashing and equality do not
+depend on which other constants are registered.
+
+:func:`parse` reads text by recursive descent, never by ``eval``::
+
+    expr     := term (("+" | "-") term)*
+    term     := factor (("*" | "/") factor)*
+    factor   := ("+" | "-") factor | atom [("^" | "**") exponent]
+    exponent := ["+" | "-"] INT | "(" ["+" | "-"] INT ")"
+    atom     := INT | NAME | "(" expr ")"
+
+where NAME is ``p``, ``q`` (= ``p^2``), ``z``, ``w`` or a registered
+constant. Anything else raises :class:`ParseError`.
 """
 
 from __future__ import annotations
 
+import math
+import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 import sympy as sp
+from sympy.polys.domains import ZZ
+from sympy.polys.fields import FracElement, FracField
+from sympy.polys.orderings import grlex
 
 
 class ScalarError(Exception):
@@ -42,336 +61,344 @@ class ParseError(ScalarError):
     pass
 
 
-P = sp.Symbol("p")
-Z = sp.Symbol("z")
-W = sp.Symbol("w")
-_Q = sp.Symbol("q")
+_CORE = ("p", "z", "w")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_consts: set[str] = set()
 
-_CORE = (P, Z, W)
-_consts: dict[str, sp.Symbol] = {}
+
+def _rebuild_field() -> None:
+    global _field, _index
+    names = _CORE + tuple(sorted(_consts))
+    _field = FracField([sp.Symbol(n) for n in names], ZZ, grlex)
+    _index = {n: i for i, n in enumerate(names)}
+
+
+_rebuild_field()
 
 
 def const(name: str) -> "Rat":
     """A named symbolic constant (evaluation point, QSP parameter, ...)."""
-    if name in ("p", "z", "w", "q"):
-        raise ValueError(f"{name!r} is a reserved variable name")
+    if name in _CORE + ("q",) or not _NAME.fullmatch(name):
+        raise ValueError(f"{name!r} is reserved or not a valid name")
     if name not in _consts:
-        _consts[name] = sp.Symbol(name)
-    return Rat(_consts[name])
+        _consts.add(name)
+        _rebuild_field()
+    return _gen(name)
 
 
-def _gens() -> tuple[sp.Symbol, ...]:
-    return _CORE + tuple(_consts[k] for k in sorted(_consts))
+def _gen(name: str) -> "Rat":
+    return Rat(_field.gens[_index[name]])
 
 
-def _coerce(x) -> sp.Expr:
+def _rebase(f: FracElement) -> FracElement:
+    """Move a value into the current field. New generators change neither the
+    gcd of numerator and denominator nor which denominator term leads in
+    graded-lex order, so the reduced form carries over without a gcd."""
+    ring = _field.ring
+    return _field.raw_new(f.numer.set_ring(ring), f.denom.set_ring(ring))
+
+
+def _frac(x) -> FracElement:
+    """``x`` as an element of the current field."""
     if isinstance(x, Rat):
-        return x.expr
-    if isinstance(x, Poly):
-        return x.to_expr()
-    if isinstance(x, (int, sp.Integer, sp.Rational)):
-        return sp.Rational(x)
-    if isinstance(x, Fraction):
-        return sp.Rational(x.numerator, x.denominator)
-    if isinstance(x, str):
-        return _parse_expr(x)
-    if isinstance(x, sp.Expr):
+        f = x.f
+        if f.field is not _field:
+            f = _rebase(f)
+            object.__setattr__(x, "f", f)
+        return f
+    if isinstance(x, FracElement):  # made in the current field
         return x
+    ring = _field.ring
+    if isinstance(x, int):
+        return _field.raw_new(ring.ground_new(x))
+    if isinstance(x, Fraction):
+        return _field.raw_new(ring.ground_new(x.numerator),
+                              ring.ground_new(x.denominator))
+    if isinstance(x, str):
+        return _frac(parse(x))
+    if isinstance(x, Poly):
+        den = math.lcm(*(c.denominator for _, c in x.terms))
+        numer = ring.from_dict({e: int(c * den) for e, c in x.terms})
+        return _field.new(numer, ring.ground_new(den))
     raise TypeError(f"cannot coerce {type(x).__name__} to Rat")
 
 
-def _parse_expr(s: str) -> sp.Expr:
-    local = {g.name: g for g in _gens()}
-    local["q"] = _Q
-    try:
-        e = sp.parse_expr(s.replace("^", "**"), local_dict=local, evaluate=True)
-    except Exception as exc:  # sympy raises a zoo of error types
-        raise ParseError(f"cannot parse {s!r}: {exc}") from None
-    bad = e.free_symbols - set(local.values())
-    if bad:
-        raise ParseError(f"unknown symbols {sorted(map(str, bad))} in {s!r}")
-    return e.subs(_Q, P**2)
+def _inverse(f: FracElement) -> FracElement:
+    if not f:
+        raise DivisionByZero("inverse of zero")
+    numer, denom = f.denom, f.numer
+    if denom.LC < 0:  # keep the denominator's leading coefficient positive
+        numer, denom = -numer, -denom
+    return f.raw_new(numer, denom)
 
 
 class Rat:
-    """A canonical element of the fraction field Q(p, z, w, constants...).
+    """An immutable, reduced element of the field Q(p, z, w, constants...)."""
 
-    Immutable; all arithmetic returns new values in reduced form.
-    """
+    __slots__ = ("f",)
 
-    __slots__ = ("expr",)
-
-    def __init__(self, expr=0):
-        e = sp.cancel(sp.together(_coerce(expr)))
-        num, den = sp.fraction(e)
-        if den == 0 or (num == 0 and den.free_symbols and den.is_zero):
-            raise DivisionByZero("zero denominator")
-        object.__setattr__(self, "expr", e)
+    def __init__(self, x=0):
+        object.__setattr__(self, "f", _frac(x))
 
     def __setattr__(self, *a):
         raise AttributeError("Rat is immutable")
 
     # -- arithmetic -------------------------------------------------------
     def __add__(self, other):
-        return Rat(self.expr + _coerce(other))
+        return Rat(_frac(self) + _frac(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return Rat(self.expr - _coerce(other))
+        return Rat(_frac(self) - _frac(other))
 
     def __rsub__(self, other):
-        return Rat(_coerce(other) - self.expr)
+        return Rat(_frac(other) - _frac(self))
 
     def __mul__(self, other):
-        return Rat(self.expr * _coerce(other))
+        return Rat(_frac(self) * _frac(other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = _coerce(other)
-        if sp.cancel(o) == 0:
+        g = _frac(other)
+        if not g:
             raise DivisionByZero("division by zero")
-        return Rat(self.expr / o)
+        return Rat(_frac(self) / g)
 
     def __rtruediv__(self, other):
-        if self.is_zero():
-            raise DivisionByZero("division by zero")
-        return Rat(_coerce(other) / self.expr)
+        return Rat(other) / self
 
-    def __pow__(self, n: int):
-        if not isinstance(n, (int, sp.Integer)):
-            raise TypeError("only integer powers")
-        if n < 0 and self.is_zero():
-            raise DivisionByZero("inverse of zero")
-        return Rat(self.expr ** int(n))
+    def __pow__(self, n):
+        n = operator.index(n)
+        f = _frac(self)
+        if n < 0:
+            f, n = _inverse(f), -n
+        return Rat(f ** n if n else 1)  # PolyElement refuses 0**0
 
     def __neg__(self):
-        return Rat(-self.expr)
+        return Rat(-_frac(self))
 
     def inv(self) -> "Rat":
-        return Rat(1) / self
+        return Rat(_inverse(_frac(self)))
 
     # -- predicates -------------------------------------------------------
     def is_zero(self) -> bool:
-        return sp.cancel(self.expr) == 0
+        return not self.f.numer
 
     def is_one(self) -> bool:
-        return sp.cancel(self.expr - 1) == 0
+        return self.f.numer == self.f.denom
 
     def __eq__(self, other) -> bool:
         try:
-            return sp.cancel(self.expr - _coerce(other)) == 0
+            g = _frac(other)
         except TypeError:
             return NotImplemented
+        return _frac(self) == g
 
     def __hash__(self):
-        return hash(sp.cancel(self.expr))
+        # the printed form is canonical and independent of registrations
+        return hash(str(self))
 
     def __bool__(self):
         return not self.is_zero()
 
     # -- structure --------------------------------------------------------
     def num(self) -> "Poly":
-        n, d = self._canonical_pair()
-        return Poly.from_expr(n)
+        """Numerator over the current generators, scaled so that :meth:`den`
+        has coprime integer coefficients and a positive leading term."""
+        f = _frac(self)
+        return _scaled(f.numer, f.denom.content())
 
     def den(self) -> "Poly":
-        n, d = self._canonical_pair()
-        return Poly.from_expr(d)
+        f = _frac(self)
+        return _scaled(f.denom, f.denom.content())
 
-    def _canonical_pair(self) -> tuple[sp.Expr, sp.Expr]:
-        """Integer-coefficient, content-free fraction with the denominator's
-        graded-lex leading coefficient positive."""
-        n, d = sp.fraction(sp.cancel(self.expr))
-        if n == 0:
-            return sp.Integer(0), sp.Integer(1)
-        gens = _gens()
-        pn = sp.Poly(n, *gens, domain="QQ")
-        pd = sp.Poly(d, *gens, domain="QQ")
-        cn, pn = pn.primitive()
-        cd, pd = pd.primitive()
-        c = sp.Rational(cn) / sp.Rational(cd)
-        lead = _lead_coeff(pd)
-        if lead < 0:
-            pn, pd, c = -pn, -pd, c
-        # fold the rational content into the numerator polynomial
-        num = sp.expand(sp.Rational(c) * pn.as_expr())
-        return num, pd.as_expr()
+    def degree(self) -> int:
+        """Total degree of the numerator plus that of the denominator."""
+        return sum(max(map(sum, poly.itermonoms()), default=0)
+                   for poly in (self.f.numer, self.f.denom))
+
+    def names(self) -> set[str]:
+        """Names of the variables and constants the value depends on."""
+        f = self.f
+        used = {i for poly in (f.numer, f.denom) for e in poly.itermonoms()
+                for i, k in enumerate(e) if k}
+        return {f.field.symbols[i].name for i in used}
 
     def substitute(self, assignments: dict) -> "Rat":
         """Evaluate at a partial assignment of variables/constants.
 
         Raises PoleAtPoint if the (reduced) denominator vanishes there.
         """
-        subs = {}
+        vals = {}
         for k, v in assignments.items():
-            sym = sp.Symbol(k) if isinstance(k, str) else _coerce(k)
-            if not isinstance(sym, sp.Symbol):
+            if not isinstance(k, str):
                 raise TypeError(f"bad substitution target {k!r}")
-            if sym == _Q:
+            if k == "q":
                 raise ValueError("substitute p, not q")
-            subs[sym] = _coerce(v)
-        n, d = sp.fraction(sp.cancel(self.expr))
-        dval = sp.cancel(d.subs(subs, simultaneous=True))
-        if dval == 0:
-            raise PoleAtPoint({str(k): str(v) for k, v in subs.items()})
-        return Rat(n.subs(subs, simultaneous=True) / dval)
+            if k in _index:
+                vals[_index[k]] = _frac(v)
+        if not vals:
+            return self
+        f = _frac(self)
+        # clear the values' denominators to a common power in both parts
+        d = {i: max(e[i] for poly in (f.numer, f.denom) for e in poly.itermonoms())
+             for i in vals}
+        numer, denom = (_cleared(poly, vals, d) for poly in (f.numer, f.denom))
+        if not denom:
+            raise PoleAtPoint({k: str(Rat(v)) for k, v in assignments.items()})
+        return Rat(_field.new(numer, denom))
 
     # -- printing ---------------------------------------------------------
     def __str__(self) -> str:
-        n, d = self._canonical_pair()
-        ns = _poly_str(n)
-        if d == 1:
+        f = self.f
+        content = f.denom.content()
+        ns = _poly_str(f.numer, content)
+        if f.denom.is_ground:
             return ns
-        ds = _poly_str(d)
-        return f"({ns})/({ds})"
+        return f"({ns})/({_poly_str(f.denom, content)})"
 
     def __repr__(self) -> str:
         return f"Rat({str(self)!r})"
 
 
-def _lead_coeff(poly: sp.Poly) -> sp.Rational:
-    terms = sorted(poly.terms(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
-    return terms[0][1]
+def _scaled(poly, content) -> "Poly":
+    return Poly(tuple((e, Fraction(c, content)) for e, c in poly.terms()))
 
 
-def _poly_str(e: sp.Expr) -> str:
-    """Deterministic graded-lex string; even powers of p print as powers of q."""
-    gens = _gens()
-    poly = sp.Poly(e, *gens, domain="QQ")
-    terms = sorted(poly.terms(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
-    use_q = all(t[0][0] % 2 == 0 for t in terms)
-    parts = []
-    for exps, coeff in terms:
-        factors = []
-        for g, ex in zip(gens, exps):
-            if ex == 0:
-                continue
-            if g is P and use_q:
-                g, ex = _Q, ex // 2
-            factors.append(g.name if ex == 1 else f"{g.name}^{ex}")
-        c = sp.Rational(coeff)
-        body = "*".join(factors)
-        if not body:
-            frag = str(abs(c))
-        elif abs(c) == 1:
-            frag = body
-        else:
-            frag = f"{abs(c)}*{body}"
-        parts.append(("-" if c < 0 else "+", frag))
-    if not parts:
-        return "0"
-    sign, frag = parts[0]
-    out = ("-" if sign == "-" else "") + frag
-    for sign, frag in parts[1:]:
-        out += f" {sign} {frag}"
+def _cleared(poly, vals: dict, d: dict):
+    """``poly`` at ``vals`` (generator index -> value) times the product of
+    ``den(vals[i])**d[i]``, which keeps it a polynomial."""
+    ring, out = poly.ring, poly.ring.zero
+    for e, c in poly.iterterms():
+        t = ring({tuple(0 if i in vals else k for i, k in enumerate(e)): c})
+        for i, v in vals.items():  # PolyElement refuses 0**0
+            t *= (v.numer ** e[i] if e[i] else 1) * v.denom ** (d[i] - e[i])
+        out += t
     return out
+
+
+def _poly_str(poly, content) -> str:
+    """Deterministic graded-lex string of ``poly / content``; even powers of p
+    print as powers of q."""
+    terms = poly.terms()
+    use_q = all(e[0] % 2 == 0 for e, _ in terms)
+    names = ["q" if use_q else "p"] + [s.name for s in poly.ring.symbols[1:]]
+    out = ""
+    for e, c in terms:
+        e = (e[0] // 2 if use_q else e[0],) + e[1:]
+        body = "*".join(n if k == 1 else f"{n}^{k}" for n, k in zip(names, e) if k)
+        coeff = Fraction(c, content)
+        mag = str(abs(coeff))
+        frag = (body if mag == "1" else f"{mag}*{body}") if body else mag
+        lead = "-" if coeff < 0 else ""
+        out += (f" {lead or '+'} " if out else lead) + frag
+    return out or "0"
 
 
 @dataclass(frozen=True)
 class Poly:
-    """Sparse Laurent polynomial: exponent tuples (over p, z, w, consts...)
-    mapped to nonzero rational coefficients, in graded-lex order."""
+    """Polynomial as exponent tuples (over p, z, w, consts...) mapped to
+    nonzero rational coefficients, in graded-lex order."""
 
     terms: tuple  # ((exps, Fraction), ...) sorted graded-lex descending
-
-    @staticmethod
-    def from_expr(e) -> "Poly":
-        e = _coerce(e)
-        gens = _gens()
-        n, d = sp.fraction(sp.cancel(e))
-        # Laurent part: denominator must be a monomial
-        pd = sp.Poly(d, *gens, domain="QQ")
-        if len(pd.terms()) != 1:
-            raise ValueError(f"not a (Laurent) polynomial: {e}")
-        dexp, dcoeff = pd.terms()[0]
-        pn = sp.Poly(n, *gens, domain="QQ")
-        items = []
-        for exps, coeff in pn.terms():
-            shifted = tuple(x - y for x, y in zip(exps, dexp))
-            c = Fraction(sp.Rational(coeff) / sp.Rational(dcoeff))
-            if c != 0:
-                items.append((shifted, c))
-        items.sort(key=lambda t: (sum(t[0]), t[0]), reverse=True)
-        return Poly(tuple(items))
-
-    def to_expr(self) -> sp.Expr:
-        gens = _gens()
-        out = sp.Integer(0)
-        for exps, coeff in self.terms:
-            mono = sp.Rational(coeff.numerator, coeff.denominator)
-            for g, ex in zip(gens, exps):
-                if ex:
-                    mono *= g**ex
-            out += mono
-        return out
-
-    def to_rat(self) -> Rat:
-        return Rat(self.to_expr())
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def total_degree(self) -> int:
         return max((sum(e) for e, _ in self.terms), default=0)
 
-    def __str__(self) -> str:
-        return str(self.to_rat())
 
+# -- parsing --------------------------------------------------------------
 
-def normalize(num, den) -> Rat:
-    """Canonical reduced fraction num/den.
-
-    Invariant under common polynomial factors: normalize(a*f, a*g) ==
-    normalize(f, g) for nonzero a.
-    """
-    d = Rat(den)
-    if d.is_zero():
-        raise DivisionByZero("zero denominator")
-    return Rat(num) / d
-
-
-def arith(a, b, kind: str) -> Rat:
-    a, b = Rat(a), Rat(b)
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    if kind == "div":
-        return a / b
-    raise ValueError(f"unknown arithmetic kind {kind!r}")
+_TOKEN = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|\*\*|\S")
 
 
 def parse(s: str) -> Rat:
-    return Rat(_parse_expr(s))
+    """Read ``s`` by recursive descent over the grammar in the module
+    docstring, building :class:`Rat` values directly."""
+    toks = _TOKEN.findall(s) + [""]
+    pos = 0
+
+    def fail(why):
+        raise ParseError(f"cannot parse {s!r}: {why}")
+
+    def take(*ops):
+        nonlocal pos
+        if toks[pos] not in ops:
+            return ""
+        pos += 1
+        return toks[pos - 1]
+
+    def expect(ok):
+        if not ok:
+            fail(f"unexpected {toks[pos]!r}" if toks[pos] else "unexpected end")
+
+    def number():
+        expect(toks[pos].isascii() and toks[pos].isdigit())
+        return int(take(toks[pos]))
+
+    def expr():
+        x = term()
+        while op := take("+", "-"):
+            x = x + term() if op == "+" else x - term()
+        return x
+
+    def term():
+        x = factor()
+        while op := take("*", "/"):
+            x = x * factor() if op == "*" else x / factor()
+        return x
+
+    def factor():
+        if op := take("+", "-"):
+            return -factor() if op == "-" else factor()
+        x = atom()
+        if take("^", "**"):
+            paren = take("(")
+            x = x ** (-number() if take("+", "-") == "-" else number())
+            expect(not paren or take(")"))
+        return x
+
+    def atom():
+        if take("("):
+            x = expr()
+            expect(take(")"))
+            return x
+        if toks[pos] == "q" or toks[pos] in _index:
+            name = take(toks[pos])
+            return q if name == "q" else _gen(name)
+        if _NAME.fullmatch(toks[pos]):
+            fail(f"unknown name {toks[pos]!r}")
+        return Rat(number())
+
+    try:
+        x = expr()
+        expect(not toks[pos])
+    except DivisionByZero:
+        fail("division by zero")
+    except RecursionError:
+        fail("nested too deeply")
+    return x
 
 
 def substitute(a, assignments: dict) -> Rat:
     return Rat(a).substitute(assignments)
 
 
-# convenient atoms
-def rat(x) -> Rat:
-    return Rat(x)
-
-
 zero = Rat(0)
 one = Rat(1)
-p = Rat(P)
-q = Rat(P**2)
-z = Rat(Z)
-w = Rat(W)
+p = _gen("p")
+q = p ** 2
+z = _gen("z")
+w = _gen("w")
 
 
 def q_int(n: int, d: int = 1) -> Rat:
     """Quantum integer [n] in q_i = q^d: (q_i^n - q_i^-n)/(q_i - q_i^-1)."""
-    qi = P ** (2 * d)
     if n == 0:
         return zero
-    return Rat(sp.cancel((qi**n - qi**-n) / (qi - qi**-1)))
+    qi = p ** (2 * d)
+    return (qi ** n - qi ** -n) / (qi - qi ** -1)
 
 
 def q_factorial(n: int, d: int = 1) -> Rat:

@@ -1,12 +1,13 @@
 import pytest
 
+from qloopk import irred
 from qloopk.irred import (DeformationNotUpper, check_generic_tensor_irreducible,
                           check_irreducible,
                           check_modified_nilpotent_irreducible,
                           qsp_deformations)
 from qloopk.linalg import Mat
 from qloopk.repcore import build_eval_rep_sl2
-from qloopk.scalars import Rat, one, parse, q, z, zero
+from qloopk.scalars import Rat, const, one, parse, q, z, zero
 
 
 def _block_diag_double(mats):
@@ -27,6 +28,23 @@ class TestBurnside:
         v = check_irreducible([fund.F[0], fund.F[1]])
         assert v.irreducible is True
         assert v.closure_dim == 4
+
+    def test_specialization_ignores_unrelated_constants(self, fund, monkeypatch):
+        seen = []
+        closure = irred.algebra_closure
+
+        def recording(mats, max_dim=None):
+            seen.append([m.to_json() for m in mats])
+            return closure(mats, max_dim=max_dim)
+
+        monkeypatch.setattr(irred, "algebra_closure", recording)
+        mats = [fund.E[0], fund.F[0], fund.E[1]]
+        assert irred._specialized_full(mats, fund.dim)
+        before = list(seen)
+        seen.clear()
+        const("AA_unrelated_first")  # sorts before every lower-case name
+        assert irred._specialized_full(mats, fund.dim)
+        assert seen == before
 
     def test_one_dimensional(self):
         v = check_irreducible([Mat([[Rat(7)]])])

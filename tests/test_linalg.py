@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from qloopk.linalg import (LinalgError, Mat, ShapeMismatch, SpanBasis,
                            algebra_closure, flip, invert, kron, nullspace,
-                           rank, rref, solve)
+                           rank, rref)
 from qloopk.scalars import Rat, one, q, z, zero
 
 
@@ -84,11 +84,6 @@ class TestSolvers:
     def test_invert_singular(self):
         with pytest.raises(LinalgError):
             invert(Mat([[one, one], [one, one]]))
-
-    def test_solve(self):
-        m = Mat([[one, zero], [one, one]])
-        x = solve(m, [q, z])
-        assert x[0] == q and x[1] == z - q
 
     def test_rref_idempotent(self):
         m = Mat([[one, q, z], [q, q * q, q * z]])

@@ -1,7 +1,8 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+import sympy as sp
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qloopk.scalars import (DivisionByZero, ParseError, PoleAtPoint, Rat,
@@ -78,6 +79,24 @@ class TestParseSubstitute:
         with pytest.raises(ParseError):
             parse("not_a_registered_name_xyzzy")
 
+    def test_no_code_is_run(self):
+        with pytest.raises(ParseError):
+            parse("__import__('os').getpid() * 0 + 1")
+
+    def test_grammar(self):
+        a = const("a")
+        assert parse("-q^2*a/(1 - z)") == -(q ** 2 * a) / (one - z)
+        assert parse("z**-2 + z^(+3) - w^(-1)") == z ** -2 + z ** 3 - w.inv()
+        assert parse("2*-z") == Rat(-2) * z
+        assert parse(" +p ") == p
+
+    @pytest.mark.parametrize("text", ["", "2.5", "z^a", "z^", "(z", "z)",
+                                      "f(z)", "z z", "1/0", "0^-1", "z^2^3",
+                                      "a b", "z; 1"])
+    def test_malformed(self, text):
+        with pytest.raises(ParseError):
+            parse(text)
+
     def test_substitute(self):
         x = z ** 2 + q
         assert x.substitute({"z": Rat(2)}) == q + Rat(4)
@@ -122,3 +141,99 @@ class TestQCombinatorics:
 
     def test_doubled_parameter(self):
         assert q_int(2, 2) == (q ** 4 - q ** -4) / (q ** 2 - q ** -2)
+
+
+# -- registration order ------------------------------------------------------
+
+def test_registration_does_not_change_hash_str_or_eq():
+    a = const("a")
+
+    def make():
+        return (z + a) / (q - a * w), z + a
+
+    x, y = make()
+    before = [hash(x), str(x), hash(y), str(y)]
+    table = {x: "x", y: "y"}
+    const("AA_registered_late")  # sorts before every lower-case name
+    assert [hash(x), str(x), hash(y), str(y)] == before
+    x2, y2 = make()
+    assert (x, y) == (x2, y2)
+    assert [hash(x2), str(x2), hash(y2), str(y2)] == before
+    assert table[x] == table[x2] == "x" and table[y] == table[y2] == "y"
+
+
+# -- differential oracle: the fraction field against sympy's cancel ----------
+
+_ORACLE_CONST = "oracle_c"
+_SYM = {"p": sp.Symbol("p"), "z": sp.Symbol("z"), "w": sp.Symbol("w"),
+        _ORACLE_CONST: sp.Symbol(_ORACLE_CONST)}
+_SYM["q"] = _SYM["p"] ** 2
+
+
+def _trees():
+    leaf = st.one_of(st.sampled_from(["p", "q", "z", "w", _ORACLE_CONST]),
+                     st.integers(min_value=-3, max_value=3))
+    return st.recursive(leaf, lambda t: st.one_of(
+        st.tuples(st.sampled_from("+-*/"), t, t),
+        st.tuples(st.just("^"), t, st.integers(min_value=-2, max_value=3))),
+        max_leaves=8)
+
+
+def _evaluate(tree, atom):
+    if not isinstance(tree, tuple):
+        return atom(tree)
+    op, left, right = tree
+    x = _evaluate(left, atom)
+    if op == "^":
+        return x ** right
+    y = _evaluate(right, atom)
+    return {"+": lambda: x + y, "-": lambda: x - y,
+            "*": lambda: x * y, "/": lambda: x / y}[op]()
+
+
+def _as_rat(tree):
+    const(_ORACLE_CONST)
+    atoms = {"p": p, "q": q, "z": z, "w": w}
+    return _evaluate(tree, lambda t: Rat(t) if isinstance(t, int)
+                     else atoms[t] if t in atoms else const(t))
+
+
+def _as_expr(tree):
+    return _evaluate(tree, lambda t: sp.Integer(t) if isinstance(t, int)
+                     else _SYM[t])
+
+
+def _from_printed(x: Rat):
+    return sp.parse_expr(str(x).replace("^", "**"), local_dict=_SYM)
+
+
+def _rat_or_reject(tree):
+    try:
+        return _as_rat(tree)
+    except DivisionByZero:
+        assume(False)
+
+
+@given(tree=_trees())
+@settings(max_examples=60, deadline=None)
+def test_differential_oracle(tree):
+    x = _rat_or_reject(tree)
+    assert sp.cancel(_as_expr(tree) - _from_printed(x)) == 0
+
+
+@given(left=_trees(), right=_trees())
+@settings(max_examples=40, deadline=None)
+def test_equal_values_print_identically(left, right):
+    x, y = _rat_or_reject(left), _rat_or_reject(right)
+    assert str(x + y - y) == str(x)
+    if not y.is_zero():
+        assert str((x * y) / y) == str(x)
+        assert hash((x * y) / y) == hash(x)
+
+
+@given(tree=_trees())
+@settings(max_examples=60, deadline=None)
+def test_parse_roundtrip(tree):
+    x = _rat_or_reject(tree)
+    assert parse(str(x)) == x
+    assert str(parse(str(x))) == str(x)
