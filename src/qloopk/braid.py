@@ -62,6 +62,7 @@ def lusztig_T(rep: Rep, i: int) -> Mat:
             break
     amax, cmax = len(Ed) - 1, len(Ed) - 1
     bmax = len(Fd) - 1
+    EF: dict[tuple[int, int], Mat] = {}  # E^(a) F^(b), shared by all columns
     out = Mat.zeros(n)
     for col in range(n):
         m = rep.weights[col][i]
@@ -80,7 +81,9 @@ def lusztig_T(rep: Rep, i: int) -> Mat:
                 if b % 2 == 1:
                     coeff = -coeff
                 # E^(a) F^(b) applied to vc
-                mat = Ed[a] @ Fd[b]
+                if (a, b) not in EF:
+                    EF[a, b] = Ed[a] @ Fd[b]
+                mat = EF[a, b]
                 for r in range(n):
                     acc = zero
                     for s in range(n):
@@ -180,12 +183,17 @@ def t_theta_matrix(rep: Rep, diagram: SatakeDiagram) -> Mat:
     return cartan_correction(rep, diagram) @ braid_SX(rep, diagram)
 
 
-def theta_q_F(rep: Rep, diagram: SatakeDiagram, i: int) -> Mat:
-    """Matrix of theta_q(F_i) = Ad(t_theta)(-E_{tau(i)}) on the module."""
-    if i in diagram.X:
-        raise BraidError(f"node {i} lies in X; B_{i} = F_{i} needs no twist")
+def theta_q_Fs(rep: Rep, diagram: SatakeDiagram, nodes) -> dict[int, Mat]:
+    """Matrices of theta_q(F_i) = Ad(t_theta)(-E_{tau(i)}) on the module, for
+    each node i of ``nodes``; t_theta and its inverse are built once."""
+    for i in nodes:
+        if i in diagram.X:
+            raise BraidError(f"node {i} lies in X; B_{i} = F_{i} needs no twist")
+    if not nodes:
+        return {}
     M = t_theta_matrix(rep, diagram)
-    return M @ (-rep.E[diagram.tau[i]]) @ invert(M)
+    Minv = invert(M)
+    return {i: M @ (-rep.E[diagram.tau[i]]) @ Minv for i in nodes}
 
 
 @dataclass(frozen=True)

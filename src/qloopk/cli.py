@@ -33,15 +33,11 @@ class UsageError(Exception):
 
 def _parse_value(s: str) -> Rat:
     """Parse a scalar expression, registering bare identifiers as named
-    constants on first sight (the CLI is where new evaluation points and
-    parameters enter the system)."""
-    import re
-    from .scalars import ParseError, const
-    for name in re.findall(r"[A-Za-z_][A-Za-z0-9_]*", s):
-        if name not in ("p", "q", "z", "w"):
-            const(name)
+    constants once the value has parsed (the CLI is where new evaluation
+    points and parameters enter the system)."""
+    from .scalars import ParseError
     try:
-        return parse_rat(s)
+        return parse_rat(s, register=True)
     except ParseError as exc:
         raise UsageError(str(exc))
 

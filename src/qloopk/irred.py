@@ -171,16 +171,15 @@ def qsp_deformations(V: Rep, params: QSPParams) -> dict:
     principal shift: D_i = gamma_i z^{-pr(theta(alpha_i))} theta_q(F_i)
     + sigma_i K_i^{-1}, so that F_i + z D_i is the z-scaled shifted
     generator."""
-    from .braid import theta_q_F
+    from .braid import theta_q_Fs
     diagram = params.diagram
     cd = diagram.cartan
     pr = GradingShift.principal(cd)
+    thF = theta_q_Fs(V, diagram, [i for i in cd.nodes if i not in diagram.X])
     out = {}
-    for i in cd.nodes:
-        if i in diagram.X:
-            continue
+    for i, th in thF.items():
         sth = shift_exponent(pr, theta_on_roots(diagram, cd.alpha(i)))
-        D = theta_q_F(V, diagram, i).scale(params.gamma[i] * z_var ** (-sth))
+        D = th.scale(params.gamma[i] * z_var ** (-sth))
         if not params.sigma[i].is_zero():
             D = D + V.Kinv(i).scale(params.sigma[i])
         out[i] = D

@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .braid import RealizedTwist, TwistSpec, t_theta_matrix, theta_q_F, realize_twist
+from .braid import RealizedTwist, TwistSpec, t_theta_matrix, theta_q_Fs, realize_twist
 from .linalg import Mat, SpanBasis, flip, invert, kron
 from .repcore import Rep, ell_highest_indices
-from .rmat import CheckReport, _first_nonzero, solve_R
+from .rmat import CheckReport, _first_nonzero, check_product, solve_R
 from .rootdata import (GradingShift, QSPParams, SatakeDiagram,
                        classical_in_root_basis, shift_exponent,
                        theta_on_coroots, theta_on_roots)
@@ -76,8 +76,7 @@ def qsp_generators(rep: Rep, params: QSPParams, shift: GradingShift,
     cd = diagram.cartan
     zval = zval if isinstance(zval, Rat) else Rat(zval)
     out = []
-    thF = {i: theta_q_F(rep, diagram, i)
-           for i in cd.nodes if i not in diagram.X}
+    thF = theta_q_Fs(rep, diagram, [i for i in cd.nodes if i not in diagram.X])
     for i in cd.nodes:
         si = shift.s[i]
         if i in diagram.X:
@@ -256,13 +255,7 @@ def verify_gre(V: Rep, W: Rep, twist: TwistSpec, shift: GradingShift,
     R_VW = solve_R(V, W).matrix.substitute({"z": woz})
     Kv = kron(KV.matrix, Mat.identity(W.dim))
     Kw = kron(Mat.identity(V.dim), KW.matrix.substitute({"z": w_var}))
-    lhs = R_tt @ Kw @ R_tW @ Kv
-    rhs = Kv @ R_tV @ Kw @ R_VW
-    diff = lhs - rhs
-    if diff.is_zero():
-        return CheckReport(True)
-    i, j, val = _first_nonzero(diff)
-    return CheckReport(False, f"residual at ({i},{j}): {val}")
+    return check_product([R_tt, Kw, R_tW, Kv], [Kv, R_tV, Kw, R_VW])
 
 
 def verify_standard_re(V: Rep, W: Rep, params: QSPParams,
@@ -293,15 +286,10 @@ def verify_standard_re(V: Rep, W: Rep, params: QSPParams,
     R_VW = solve_R(V, W).matrix
     Kv = kron(KV.matrix, Mat.identity(W.dim))
     Kw = kron(Mat.identity(V.dim), KW.matrix.substitute({"z": w_var}))
-    lhs = _r21(R_WV, W.dim, V.dim).substitute({"z": woz}) @ Kw \
-        @ R_VW.substitute({"z": z_var * w_var}) @ Kv
-    rhs = Kv @ _r21(R_WV, W.dim, V.dim).substitute({"z": z_var * w_var}) @ Kw \
-        @ R_VW.substitute({"z": woz})
-    diff = lhs - rhs
-    if diff.is_zero():
-        return CheckReport(True)
-    i, j, val = _first_nonzero(diff)
-    return CheckReport(False, f"residual at ({i},{j}): {val}")
+    R_21 = _r21(R_WV, W.dim, V.dim)
+    return check_product(
+        [R_21.substitute({"z": woz}), Kw, R_VW.substitute({"z": z_var * w_var}), Kv],
+        [Kv, R_21.substitute({"z": z_var * w_var}), Kw, R_VW.substitute({"z": woz})])
 
 
 def verify_K_unitarity(V: Rep, twist: TwistSpec, shift: GradingShift,
@@ -318,11 +306,7 @@ def verify_K_unitarity(V: Rep, twist: TwistSpec, shift: GradingShift,
         raise NotInvolutive("psi^2 does not fix the module")
     Kt = solve_K(Vt, twist, shift, params, normalize=False)
     Kt = normalize_K_paired(Kt, V, twist)
-    prod = Kt.matrix.substitute({"z": z_var.inv()}) @ KV.matrix
-    if prod.is_identity():
-        return CheckReport(True)
-    i, j, val = _first_nonzero(prod - Mat.identity(prod.nrows))
-    return CheckReport(False, f"residual at ({i},{j}): {val}")
+    return check_product([Kt.matrix.substitute({"z": z_var.inv()}), KV.matrix], [])
 
 
 def _pr_value(rep: Rep, k: int) -> Fraction:
@@ -379,8 +363,7 @@ def check_intertwining(K: Mat, rep: Rep, realized: RealizedTwist,
     src = qsp_generators(rep, params, shift, z_var)
     tgt = qsp_generators(realized.target, params, shift, z_var.inv())
     for (name, L), (_, R) in zip(src, tgt):
-        diff = K @ L - R @ K
-        if not diff.is_zero():
-            i, j, val = _first_nonzero(diff)
-            return CheckReport(False, f"{name} residual at ({i},{j}): {val}")
+        report = check_product([K, L], [R, K], label=f"{name} ")
+        if not report.ok:
+            return report
     return CheckReport(True)

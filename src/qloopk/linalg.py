@@ -5,11 +5,15 @@ multivariate rational functions, so the cost model is dominated by entry
 arithmetic, not by dimension. The elimination routines therefore pick pivots
 of smallest total degree to keep intermediate entries small, and the matrix
 product skips structural zeros.
+
+Product identities ``A1 A2 ... = B1 B2 ...`` are decided by
+:func:`product_residual` over common denominators: each factor is cleared to
+polynomial numerators, and only polynomials are multiplied and compared.
 """
 
 from __future__ import annotations
 
-from .scalars import Rat, one, zero
+from .scalars import Rat, clear_denominators, one, zero
 
 
 class LinalgError(Exception):
@@ -199,6 +203,41 @@ def flip(dim_v: int, dim_w: int) -> Mat:
         for j in range(dim_w):
             out.data[j * dim_v + i][i * dim_w + j] = one
     return out
+
+
+def product_residual(lhs: list[Mat], rhs: list[Mat]):
+    """Decide ``prod(lhs) == prod(rhs)`` exactly; an empty side is the identity.
+
+    Each factor is cleared to polynomial numerators over the lcm of its entry
+    denominators, and the numerator matrices are multiplied with no gcd. With
+    the products written L/dl and R/dr, ``L*dr == R*dl`` entrywise is a
+    polynomial identity that holds exactly when the two products are equal.
+    Returns None then, and otherwise ``(i, j, value)`` for the first nonzero
+    entry of ``prod(lhs) - prod(rhs)`` in row-major order.
+    """
+    if not lhs and not rhs:
+        raise LinalgError("no factors")
+    n = (lhs or rhs)[0].nrows
+    (L, dl), (R, dr) = (_cleared_product(side or [Mat.identity(n)])
+                        for side in (lhs, rhs))
+    if L.shape() != R.shape():
+        raise ShapeMismatch("product_residual: shapes differ")
+    for i, (lrow, rrow) in enumerate(zip(L.data, R.data)):
+        for j, (x, y) in enumerate(zip(lrow, rrow)):
+            t = x * dr - y * dl
+            if not t.is_zero():
+                return i, j, t / (dl * dr)
+    return None
+
+
+def _cleared_product(factors: list[Mat]) -> tuple[Mat, Rat]:
+    """``(N, d)`` with polynomial entries such that ``prod(factors) == N / d``."""
+    num, den = None, one
+    for m in factors:
+        values, d = clear_denominators(x for row in m.data for x in row)
+        cleared = Mat([values[i * m.ncols:(i + 1) * m.ncols] for i in range(m.nrows)])
+        num, den = (cleared if num is None else num @ cleared), den * d
+    return num, den
 
 
 def rref(m: Mat) -> tuple[Mat, list[int]]:

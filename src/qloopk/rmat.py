@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Mat, SpanBasis, flip, kron, rank
+from .linalg import Mat, SpanBasis, flip, kron, product_residual, rank
 from .repcore import Rep
 from .scalars import PoleAtPoint, Rat, one, z as z_var, zero
 
@@ -183,6 +183,16 @@ class CheckReport:
         return {"ok": self.ok, "detail": self.detail}
 
 
+def check_product(lhs: list[Mat], rhs: list[Mat], label: str = "") -> CheckReport:
+    """Exact check of ``prod(lhs) == prod(rhs)`` (an empty side is the
+    identity); a failure names the first nonzero entry of the difference."""
+    residual = product_residual(lhs, rhs)
+    if residual is None:
+        return CheckReport(True)
+    i, j, val = residual
+    return CheckReport(False, f"{label}residual at ({i},{j}): {val}")
+
+
 def _first_nonzero(m: Mat):
     for i in range(m.nrows):
         for j in range(m.ncols):
@@ -204,13 +214,7 @@ def verify_YBE(u: Rep, v: Rep, w: Rep,
     R12 = _embed(Ruv, dims, (0, 1))
     R13 = _embed(Ruw.substitute({"z": z_var * w_var}), dims, (0, 2))
     R23 = _embed(Rvw.substitute({"z": w_var}), dims, (1, 2))
-    lhs = R12 @ R13 @ R23
-    rhs = R23 @ R13 @ R12
-    diff = lhs - rhs
-    if diff.is_zero():
-        return CheckReport(True)
-    i, j, val = _first_nonzero(diff)
-    return CheckReport(False, f"residual at ({i},{j}): {val}")
+    return check_product([R12, R13, R23], [R23, R13, R12])
 
 
 def verify_R_unitarity(v: Rep, w: Rep,
@@ -220,12 +224,7 @@ def verify_R_unitarity(v: Rep, w: Rep,
     Rwv = Rwv if Rwv is not None else solve_R(w, v).matrix
     Pvw = flip(v.dim, w.dim)   # V ⊗ W -> W ⊗ V
     Pwv = flip(w.dim, v.dim)
-    other = Pwv @ Rwv.substitute({"z": z_var.inv()}) @ Pvw
-    prod = other @ Rvw
-    if prod.is_identity():
-        return CheckReport(True)
-    i, j, val = _first_nonzero(prod - Mat.identity(prod.nrows))
-    return CheckReport(False, f"residual at ({i},{j}): {val}")
+    return check_product([Pwv, Rwv.substitute({"z": z_var.inv()}), Pvw, Rvw], [])
 
 
 def detect_degeneration(v: Rep, w: Rep, point: dict,

@@ -7,6 +7,7 @@ supplying those. Builders for the untwisted type-A series are provided.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -473,11 +474,18 @@ def build_Y0(diagram: SatakeDiagram) -> SatakeDiagram:
 def classical_in_root_basis(cartan: CartanDatum, hvals) -> RootVec:
     """Lift a classical weight, given by its values on the finite coroots
     h_1..h_n, into the rational span of the finite simple roots."""
+    h = [Fraction(x) for x in hvals[:cartan.rank]]
+    coords = [sum((c * x for c, x in zip(row, h)), Fraction(0))
+              for row in _finite_cartan_inverse(cartan.a)]
+    return RootVec(cartan, (Fraction(0), *coords))
+
+
+@functools.lru_cache(maxsize=None)
+def _finite_cartan_inverse(a) -> tuple[tuple[Fraction, ...], ...]:
+    """Inverse of the finite part (nodes 1..n) of the Cartan matrix ``a``."""
     import sympy as sp
 
-    n = cartan.rank
-    A = sp.Matrix(n, n, lambda i, j: cartan.a[i + 1][j + 1])
-    v = sp.Matrix(n, 1, lambda i, _: sp.Rational(Fraction(hvals[i])))
-    c = A.solve(v)
-    coords = [Fraction(0)] + [Fraction(sp.Rational(c[i])) for i in range(n)]
-    return RootVec(cartan, tuple(coords))
+    n = len(a) - 1
+    inv = sp.Matrix(n, n, lambda i, j: a[i + 1][j + 1]).inv()
+    return tuple(tuple(Fraction(int(x.p), int(x.q)) for x in inv.row(i))
+                 for i in range(n))

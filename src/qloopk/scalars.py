@@ -15,6 +15,14 @@ constants in sorted order. Registering a constant rebuilds the field; older
 values move to it when next used. Printing, hashing and equality do not
 depend on which other constants are registered.
 
+Arithmetic is Henrici's on reduced fractions (Knuth, TAOCP vol. 2, 4.5.1):
+a product cancels only crosswise, numerator against the other factor's
+denominator, and a sum cancels only against the gcd of the two denominators.
+No gcd is ever taken of an unreduced numerator and denominator, and the
+results are exactly the canonical forms the field itself would give.
+:func:`clear_denominators` puts values over one common denominator, so that
+products of many values can be formed in the polynomial ring, without gcds.
+
 :func:`parse` reads text by recursive descent, never by ``eval``::
 
     expr     := term (("+" | "-") term)*
@@ -66,11 +74,15 @@ _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _consts: set[str] = set()
 
 
+def _field_on(consts) -> tuple[FracField, dict[str, int]]:
+    names = _CORE + tuple(sorted(consts))
+    return (FracField([sp.Symbol(n) for n in names], ZZ, grlex),
+            {n: i for i, n in enumerate(names)})
+
+
 def _rebuild_field() -> None:
     global _field, _index
-    names = _CORE + tuple(sorted(_consts))
-    _field = FracField([sp.Symbol(n) for n in names], ZZ, grlex)
-    _index = {n: i for i, n in enumerate(names)}
+    _field, _index = _field_on(_consts)
 
 
 _rebuild_field()
@@ -94,6 +106,8 @@ def _rebase(f: FracElement) -> FracElement:
     """Move a value into the current field. New generators change neither the
     gcd of numerator and denominator nor which denominator term leads in
     graded-lex order, so the reduced form carries over without a gcd."""
+    if f.field is _field:
+        return f
     ring = _field.ring
     return _field.raw_new(f.numer.set_ring(ring), f.denom.set_ring(ring))
 
@@ -123,13 +137,60 @@ def _frac(x) -> FracElement:
     raise TypeError(f"cannot coerce {type(x).__name__} to Rat")
 
 
+def _is_one(poly) -> bool:
+    return len(poly) == 1 and poly.get(poly.ring.zero_monom) == 1
+
+
+def _reduced(f: FracElement, numer, denom) -> FracElement:
+    """``numer/denom`` in the field of ``f``, for a coprime pair, signed like
+    ``FracElement.new``: the denominator's leading coefficient is positive."""
+    if denom.LC < 0:
+        numer, denom = -numer, -denom
+    return f.raw_new(numer, denom)
+
+
 def _inverse(f: FracElement) -> FracElement:
     if not f:
         raise DivisionByZero("inverse of zero")
-    numer, denom = f.denom, f.numer
-    if denom.LC < 0:  # keep the denominator's leading coefficient positive
-        numer, denom = -numer, -denom
-    return f.raw_new(numer, denom)
+    return _reduced(f, f.denom, f.numer)
+
+
+def _mul(f: FracElement, g: FracElement) -> FracElement:
+    """Product of reduced fractions: n1 is coprime to d1 and n2 to d2, so
+    only n1 against d2 and n2 against d1 can cancel."""
+    n1, d1, n2, d2 = f.numer, f.denom, g.numer, g.denom
+    if not n1 or not n2:
+        return f.field.zero
+    if _is_one(d1) and _is_one(d2):
+        return f.raw_new(n1 * n2)
+    _, n1, d2 = n1.cofactors(d2)
+    _, n2, d1 = n2.cofactors(d1)
+    return _reduced(f, n1 * n2, d1 * d2)
+
+
+def _add(f: FracElement, g: FracElement) -> FracElement:
+    """Sum of reduced fractions: with h = gcd(d1, d2), the numerator
+    t = n1*(d2/h) + n2*(d1/h) is coprime to (d1/h)*(d2/h), so only gcd(t, h)
+    can cancel."""
+    n1, d1, n2, d2 = f.numer, f.denom, g.numer, g.denom
+    if not n1:
+        return g
+    if not n2:
+        return f
+    if dict.__eq__(d1, d2):  # one ring, so comparing the terms suffices
+        t = n1 + n2
+        if not t:
+            return f.field.zero
+        if _is_one(d1):
+            return f.raw_new(t)
+        _, t, d = t.cofactors(d1)
+        return _reduced(f, t, d)
+    # unequal reduced denominators cannot give a zero sum
+    h, e1, e2 = d1.cofactors(d2)
+    t = n1 * e2 + n2 * e1
+    if not _is_one(h):
+        _, t, h = t.cofactors(h)
+    return _reduced(f, t, h * e1 * e2)
 
 
 class Rat:
@@ -145,18 +206,18 @@ class Rat:
 
     # -- arithmetic -------------------------------------------------------
     def __add__(self, other):
-        return Rat(_frac(self) + _frac(other))
+        return Rat(_add(_frac(self), _frac(other)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return Rat(_frac(self) - _frac(other))
+        return Rat(_add(_frac(self), -_frac(other)))
 
     def __rsub__(self, other):
-        return Rat(_frac(other) - _frac(self))
+        return Rat(_add(_frac(other), -_frac(self)))
 
     def __mul__(self, other):
-        return Rat(_frac(self) * _frac(other))
+        return Rat(_mul(_frac(self), _frac(other)))
 
     __rmul__ = __mul__
 
@@ -164,7 +225,7 @@ class Rat:
         g = _frac(other)
         if not g:
             raise DivisionByZero("division by zero")
-        return Rat(_frac(self) / g)
+        return Rat(_mul(_frac(self), _inverse(g)))
 
     def __rtruediv__(self, other):
         return Rat(other) / self
@@ -263,6 +324,24 @@ class Rat:
         return f"Rat({str(self)!r})"
 
 
+def clear_denominators(values) -> tuple[list[Rat], Rat]:
+    """Polynomial numerators of ``values`` over one common denominator ``den``,
+    the lcm of their denominators: ``values[k] == numerators[k] / den``.
+
+    Takes one lcm per distinct denominator and clears each value by an exact
+    quotient, with no other gcd.
+    """
+    fs = [_frac(x) for x in values]
+    distinct = dict.fromkeys(f.denom for f in fs)
+    den = _field.ring.one
+    for d in distinct:
+        if not _is_one(d) and d != den:
+            den = d if _is_one(den) else den.lcm(d)
+    quo = {d: den.exquo(d) for d in distinct}
+    return ([Rat(_field.raw_new(f.numer * quo[f.denom])) if f else zero for f in fs],
+            Rat(_field.raw_new(den)))
+
+
 def _scaled(poly, content) -> "Poly":
     return Poly(tuple((e, Fraction(c, content)) for e, c in poly.terms()))
 
@@ -313,10 +392,18 @@ class Poly:
 _TOKEN = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|\*\*|\S")
 
 
-def parse(s: str) -> Rat:
+def parse(s: str, register: bool = False) -> Rat:
     """Read ``s`` by recursive descent over the grammar in the module
-    docstring, building :class:`Rat` values directly."""
+    docstring, building field elements directly.
+
+    With ``register``, a NAME that is not yet a constant becomes one, but
+    only once all of ``s`` has parsed: the value is built in the field that
+    the registrations will make, and a failed parse registers nothing.
+    """
     toks = _TOKEN.findall(s) + [""]
+    new = {t for t in toks if _NAME.fullmatch(t) and t != "q"
+           and t not in _index} if register else set()
+    field, index = _field_on(_consts | new) if new else (_field, _index)
     pos = 0
 
     def fail(why):
@@ -340,13 +427,13 @@ def parse(s: str) -> Rat:
     def expr():
         x = term()
         while op := take("+", "-"):
-            x = x + term() if op == "+" else x - term()
+            x = _add(x, term() if op == "+" else -term())
         return x
 
     def term():
         x = factor()
         while op := take("*", "/"):
-            x = x * factor() if op == "*" else x / factor()
+            x = _mul(x, factor() if op == "*" else _inverse(factor()))
         return x
 
     def factor():
@@ -355,7 +442,10 @@ def parse(s: str) -> Rat:
         x = atom()
         if take("^", "**"):
             paren = take("(")
-            x = x ** (-number() if take("+", "-") == "-" else number())
+            n = -number() if take("+", "-") == "-" else number()
+            if n < 0:
+                x, n = _inverse(x), -n
+            x = x ** n if n else field.one  # PolyElement refuses 0**0
             expect(not paren or take(")"))
         return x
 
@@ -364,12 +454,14 @@ def parse(s: str) -> Rat:
             x = expr()
             expect(take(")"))
             return x
-        if toks[pos] == "q" or toks[pos] in _index:
-            name = take(toks[pos])
-            return q if name == "q" else _gen(name)
+        if toks[pos] == "q":
+            take("q")
+            return field.gens[0] ** 2
+        if toks[pos] in index:
+            return field.gens[index[take(toks[pos])]]
         if _NAME.fullmatch(toks[pos]):
             fail(f"unknown name {toks[pos]!r}")
-        return Rat(number())
+        return field.raw_new(field.ring.ground_new(number()))
 
     try:
         x = expr()
@@ -378,7 +470,10 @@ def parse(s: str) -> Rat:
         fail("division by zero")
     except RecursionError:
         fail("nested too deeply")
-    return x
+    if new:
+        _consts.update(new)
+        _rebuild_field()
+    return Rat(_rebase(x))
 
 
 def substitute(a, assignments: dict) -> Rat:
@@ -394,11 +489,11 @@ w = _gen("w")
 
 
 def q_int(n: int, d: int = 1) -> Rat:
-    """Quantum integer [n] in q_i = q^d: (q_i^n - q_i^-n)/(q_i - q_i^-1)."""
-    if n == 0:
-        return zero
-    qi = p ** (2 * d)
-    return (qi ** n - qi ** -n) / (qi - qi ** -1)
+    """Quantum integer [n] in q_i = q^d: (q_i^n - q_i^-n)/(q_i - q_i^-1),
+    summed as the Laurent polynomial q_i^(n-1) + q_i^(n-3) + ... + q_i^(1-n)."""
+    if n < 0:
+        return -q_int(-n, d)
+    return sum((p ** (2 * d * (n - 1 - 2 * k)) for k in range(n)), zero)
 
 
 def q_factorial(n: int, d: int = 1) -> Rat:

@@ -3,7 +3,7 @@ import pytest
 from qloopk.braid import (BraidError, GaugeInvalid, InconsistentExtension,
                           RealizedTwist, TwistSpec, braid_SX,
                           cartan_correction, gamma_operator, lusztig_T,
-                          realize_twist, t_theta_matrix, theta_q_F)
+                          realize_twist, t_theta_matrix, theta_q_Fs)
 from qloopk.linalg import Mat, invert
 from qloopk.repcore import build_eval_rep_sl2, build_vector_rep_slN_eval
 from qloopk.rootdata import GradingShift, QSPParams, SatakeDiagram, affine_A
@@ -64,17 +64,16 @@ class TestCartanCorrection:
 
 class TestThetaQ:
     def test_onsager_theta_q_F(self, fund, d1):
-        assert theta_q_F(fund, d1, 0) == -fund.E[0]
-        assert theta_q_F(fund, d1, 1) == -fund.E[1]
+        assert theta_q_Fs(fund, d1, [0, 1]) == {0: -fund.E[0], 1: -fund.E[1]}
 
     def test_rejects_X_nodes(self, vec3):
         d = SatakeDiagram(affine_A(2), (1, 2), (0, 2, 1))
         with pytest.raises(BraidError):
-            theta_q_F(vec3, d, 1)
+            theta_q_Fs(vec3, d, [0, 1])
 
     def test_weight_shape(self, spin1, d1):
         # theta_q(F_i) raises the classical weight by alpha_i for theta = -id
-        M = theta_q_F(spin1, d1, 1)
+        M = theta_q_Fs(spin1, d1, [1])[1]
         for r in range(3):
             for c in range(3):
                 if not M[r, c].is_zero():

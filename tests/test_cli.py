@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from qloopk import scalars
 from qloopk.cli import main
 
 
@@ -45,6 +46,13 @@ class TestRep:
 
     def test_unknown_builder(self, capsys):
         assert main(["rep", "build", "--rep", "mystery:1:a"]) == 2
+
+    def test_rejected_value_registers_nothing(self, capsys):
+        before = set(scalars._consts)
+        assert main(["rep", "build", "--rep", "eval-sl2:1:__import__('os')"]) == 2
+        assert main(["rmatrix", "compute", "--rep", "eval-sl2:1:a",
+                     "--rep", "eval-sl2:1:b", "--vars", "cli_x=1/(cli_y-cli_y)"]) == 2
+        assert scalars._consts == before
 
 
 class TestRmatrix:

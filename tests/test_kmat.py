@@ -110,6 +110,14 @@ class TestGRE:
         rep = verify_gre(fund, fund_b, o["twist"], o["shift"], o["params"],
                          KV=bad)
         assert not rep.ok
+        assert rep.detail == (
+            "residual at (0,1): (q^6*z^2*a*s1 - q^4*z^2*w*a*b*g0*s0"
+            " - 2*q^4*z^2*a*s1 + 2*q^2*z^2*w*a*b*g0*s0 + q^2*z^2*a*s1"
+            " - z^2*w*a*b*g0*s0)/(q^5*z*a - q^3*z^2*w*a^2*b - q^3*w*b"
+            " + q*z*w^2*a*b^2)")
+        rep = check_intertwining(bad_m, fund, K_fund.realized,
+                                 o["shift"], o["params"])
+        assert rep.detail == "B0 residual at (0,0): (q^2*z*s0 - z*s0)/(q)"
 
 
 class TestStandardRE:
@@ -135,7 +143,7 @@ class TestStandardRE:
         o = onsager
         rep = verify_standard_re(fund, fund, o["params"], o["shift"])
         assert not rep.ok
-        assert "does not fix" in rep.detail
+        assert rep.detail == "twist does not fix V; standard form unavailable"
 
 
 class TestUnitarity:
@@ -151,13 +159,13 @@ class TestUnitarity:
         o = onsager_sigma0
         rep = verify_K_unitarity(spin1, o["twist"], o["shift"], o["params"])
         assert not rep.ok
-        assert "gauge" in rep.detail
+        assert rep.detail == "source K not gauge-normalizable"
 
     def test_generic_sigma_reported(self, fund, onsager):
         o = onsager
         rep = verify_K_unitarity(fund, o["twist"], o["shift"], o["params"])
         assert not rep.ok
-        assert "gauge" in rep.detail
+        assert rep.detail == "source K not gauge-normalizable"
 
 
 class TestConversion:

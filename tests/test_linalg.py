@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from qloopk.linalg import (LinalgError, Mat, ShapeMismatch, SpanBasis,
                            algebra_closure, flip, invert, kron, nullspace,
-                           rank, rref)
+                           product_residual, rank, rref)
 from qloopk.scalars import Rat, one, q, z, zero
 
 
@@ -128,3 +128,77 @@ class TestClosure:
         e01 = Mat([[zero, one], [zero, zero]])
         d = Mat([[one, zero], [zero, Rat(2)]])
         assert algebra_closure([d]).dim <= algebra_closure([d, e01]).dim
+
+
+# -- product identities over common denominators -----------------------------
+
+_ENTRIES = [zero, one, Rat(-2), Rat(Fraction(1, 3)), q, z.inv(),
+            (q - z) / (one + z), one / (z - one), q / (z - one)]
+
+
+def _square(n):
+    return st.lists(st.sampled_from(_ENTRIES), min_size=n * n,
+                    max_size=n * n).map(
+        lambda xs: Mat([xs[i * n:(i + 1) * n] for i in range(n)]))
+
+
+def _product(factors, n):
+    out = Mat.identity(n)
+    for m in factors:
+        out = out @ m
+    return out
+
+
+def _first_difference(a, b):
+    for i in range(a.nrows):
+        for j in range(a.ncols):
+            if a[i, j] != b[i, j]:
+                return i, j, a[i, j] - b[i, j]
+    return None
+
+
+@given(n=st.integers(1, 3), mode=st.sampled_from(["random", "equal", "mismatch", "zero"]),
+       data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_product_residual_matches_mat_products(n, mode, data):
+    """None exactly when the Mat products agree; otherwise the first entry
+    of their difference. Covers empty (identity) sides, a zero factor and a
+    one-entry mismatch."""
+    lhs = data.draw(st.lists(_square(n), max_size=3))
+    if mode == "zero":
+        lhs = lhs + [Mat.zeros(n)]
+    L = _product(lhs, n)
+    if mode == "equal":
+        rhs = [L]
+    elif mode == "mismatch":
+        bad = Mat([row[:] for row in L.data])
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        bad.data[i][j] = bad.data[i][j] + data.draw(st.sampled_from(_ENTRIES[1:]))
+        rhs = [bad]
+    else:
+        rhs = data.draw(st.lists(_square(n), max_size=2))
+    if not lhs and not rhs:
+        rhs = [Mat.identity(n)]
+    expected = _first_difference(L, _product(rhs, n))
+    assert product_residual(lhs, rhs) == expected
+    if mode in ("equal", "mismatch"):
+        assert (expected is None) == (mode == "equal")
+
+
+class TestProductResidual:
+    def test_inverse_pair_against_identity(self):
+        m = Mat([[q, one / (z - q)], [z, one]])
+        assert product_residual([m, invert(m)], []) is None
+        assert product_residual([], [invert(m), m]) is None
+
+    def test_rectangular_chain(self):
+        a = Mat([[one, q / z, zero]])
+        b = Mat([[z], [one / q], [Rat(5)]])
+        assert product_residual([a, b], [Mat([[z + z.inv()]])]) is None
+        assert product_residual([b, a], [Mat.zeros(3)]) is not None
+
+    def test_guards(self):
+        with pytest.raises(LinalgError):
+            product_residual([], [])
+        with pytest.raises(ShapeMismatch):
+            product_residual([Mat.identity(2)], [Mat.identity(3)])

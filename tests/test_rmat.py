@@ -62,7 +62,7 @@ class TestYBE:
         bad.data[1][1] = bad.data[1][1] + q
         report = verify_YBE(fund, fund_b, W, Ruv=bad)
         assert not report.ok
-        assert "residual" in report.detail
+        assert report.detail == "residual at (1,2): (-q^3*w*c + q*w*c)/(q^2*b - w*c)"
 
 
 class TestUnitarity:
@@ -74,6 +74,7 @@ class TestUnitarity:
         scaled = R_fund.matrix.scale(q)
         report = verify_R_unitarity(fund, fund_b, Rvw=scaled)
         assert not report.ok
+        assert report.detail == "residual at (0,0): q - 1"
 
 
 class TestDegeneration:

@@ -5,9 +5,11 @@ import sympy as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qloopk import scalars
 from qloopk.scalars import (DivisionByZero, ParseError, PoleAtPoint, Rat,
-                            const, one, p, parse, q, q_binomial, q_factorial,
-                            q_int, substitute, w, z, zero)
+                            clear_denominators, const, one, p, parse, q,
+                            q_binomial, q_factorial, q_int, substitute, w, z,
+                            zero)
 
 
 def rational_strategy():
@@ -97,6 +99,20 @@ class TestParseSubstitute:
         with pytest.raises(ParseError):
             parse(text)
 
+    def test_register_after_parse(self):
+        x = parse("late_reg_x^2 / (1 - late_reg_y)", register=True)
+        assert {"late_reg_x", "late_reg_y"} <= scalars._consts
+        assert x == const("late_reg_x") ** 2 / (one - const("late_reg_y"))
+
+    @pytest.mark.parametrize("text", ["late_bad_x + f(late_bad_y)",
+                                      "late_bad_x / (late_bad_y - late_bad_y)",
+                                      "__import__('os')"])
+    def test_failed_parse_registers_nothing(self, text):
+        before = set(scalars._consts)
+        with pytest.raises(ParseError):
+            parse(text, register=True)
+        assert scalars._consts == before
+
     def test_substitute(self):
         x = z ** 2 + q
         assert x.substitute({"z": Rat(2)}) == q + Rat(4)
@@ -141,6 +157,13 @@ class TestQCombinatorics:
 
     def test_doubled_parameter(self):
         assert q_int(2, 2) == (q ** 4 - q ** -4) / (q ** 2 - q ** -2)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_q_int_matches_quotient(self, d):
+        qi = p ** (2 * d)
+        for n in range(-4, 6):
+            if n:
+                assert q_int(n, d) == (qi ** n - qi ** -n) / (qi - qi ** -1)
 
 
 # -- registration order ------------------------------------------------------
@@ -237,3 +260,50 @@ def test_parse_roundtrip(tree):
     x = _rat_or_reject(tree)
     assert parse(str(x)) == x
     assert str(parse(str(x))) == str(x)
+
+
+# -- differential oracle: Henrici arithmetic against the field's operators ---
+
+_term = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1),
+                  st.integers(-3, 3))
+_numerators = st.one_of(st.just([]),                        # zero
+                        st.lists(_term, min_size=1, max_size=3))
+_denominators = st.one_of(
+    st.just([(0, 0, 0, 1)]),                                         # one
+    st.sampled_from([-4, -2, 3, 6]).map(lambda c: [(0, 0, 0, c)]),   # integer
+    st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 1),
+              st.sampled_from([-2, -1, 1, 3])).map(lambda t: [t]),   # monomial
+    st.lists(_term, min_size=1, max_size=3))                         # general
+
+
+def _poly(terms):
+    ring = scalars._field.ring
+    P, Z, W = ring.gens[:3]
+    return sum((c * P ** i * Z ** j * W ** k for i, j, k, c in terms), ring.zero)
+
+
+@given(nf=_numerators, df=_denominators, ng=_numerators, dg=_denominators,
+       shared=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_henrici_matches_field_operators(nf, df, ng, dg, shared):
+    """Rat's + - * / give exactly the numerator and denominator that
+    FracElement's own operators give, which cancel the unreduced result."""
+    dg = df if shared else dg
+    assume(_poly(df) and _poly(dg))
+    field = scalars._field
+    f, g = field.new(_poly(nf), _poly(df)), field.new(_poly(ng), _poly(dg))
+    x, y = Rat(f), Rat(g)
+    cases = [(x + y, f + g), (x - y, f - g), (x * y, f * g),
+             (x + x, f + f), (x - x, f - f), (-x * y, -f * g)]
+    if g:
+        cases.append((x / y, f / g))
+    for mine, ref in cases:
+        assert (mine.f.numer, mine.f.denom) == (ref.numer, ref.denom)
+
+
+def test_clear_denominators():
+    values = [zero, one / (q - z), z / (q * (q - z)), Rat(Fraction(-3, 2)), w]
+    nums, den = clear_denominators(values)
+    assert den.den() == one.den()
+    assert [n.den() for n in nums] == [one.den()] * len(values)
+    assert [n / den for n in nums] == values
