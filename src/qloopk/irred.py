@@ -7,6 +7,14 @@ z -> 0 specialization argument reduces generic irreducibility over the
 rational-function field to a constant-matrix closure: a polynomial family of
 operators with an invariant subspace over F(z) has one at z = 0.
 All grading shifts in this module are principal (z on every node).
+
+check_irreducible first tries a certificate over F_ELL, ELL = 2^31 - 1: the
+entries are evaluated modulo ELL at one point of (p, z, w, constants). That
+evaluation is a ring homomorphism on the fractions defined at the point, so
+if the images generate all of M_n(F_ELL), some n^2 words in the generators
+have an n^2 x n^2 minor that is nonzero modulo ELL, hence nonzero over
+Q(p, z, w, ...), and the generic closure is full. A non-full image proves
+nothing; the exact closure then decides.
 """
 
 from __future__ import annotations
@@ -16,7 +24,9 @@ from dataclasses import dataclass, field
 from .linalg import Mat, SpanBasis, algebra_closure, kron
 from .repcore import Rep
 from .rootdata import GradingShift, QSPParams, shift_exponent, theta_on_roots
-from .scalars import Rat, one, z as z_var, zero
+from .scalars import PoleAtPoint, Rat, one, z as z_var, zero
+
+ELL = 2 ** 31 - 1  # the prime of the fast path in _specialized_full
 
 
 class IrredError(Exception):
@@ -81,27 +91,76 @@ def _invariant_subspace(closure_mats: list[Mat], n: int):
 
 
 def _specialized_full(mats: list[Mat], n: int) -> bool:
-    """Sound fast path: substitute p and every constant occurring in the
-    entries (keeping z and w) by fixed rationals and test fullness there. Rank
-    can only drop under specialization, so a full specialized closure
-    certifies a full generic closure; a non-full one proves nothing."""
-    from fractions import Fraction
-    from .scalars import PoleAtPoint
+    """Sound fast path: evaluate every entry modulo the prime ELL at one
+    point assigning p, z, w and the constants occurring in the entries, and
+    test whether the images generate all of M_n(F_ELL).
+
+    Evaluation is a ring homomorphism on the fractions whose denominators do
+    not vanish at the point, so the images generate the image of the generic
+    algebra. If that image is full, n^2 words have an n^2 x n^2 minor nonzero
+    modulo ELL, hence nonzero over Q(p, z, w, ...): the generic closure is
+    full. A non-full answer proves nothing. An attempt at which a denominator
+    vanishes modulo ELL is skipped. The point depends only on the names that
+    occur, not on which other constants are registered.
+    """
     occurring = {nm for m in mats for row in m.data for x in row
                  for nm in x.names()}
-    names = ["p"] + sorted(occurring - {"p", "z", "w"})
+    names = ["p", "z", "w"] + sorted(occurring - {"p", "z", "w"})
     primes = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
     for attempt in range(3):
-        point = {nm: Rat(Fraction(primes[(k + attempt) % len(primes)],
-                                  2 + attempt))
+        # name k goes to the rational prime / (2 + attempt), the primes
+        # taken cyclically from position attempt
+        scale = pow(2 + attempt, -1, ELL)
+        point = {nm: primes[(k + attempt) % len(primes)] * scale % ELL
                  for k, nm in enumerate(names)}
         try:
-            spec = [m.substitute(point) for m in mats]
+            gens = [[[x.residue(point, ELL) for x in row] for row in m.data]
+                    for m in mats]
         except PoleAtPoint:
             continue
-        if algebra_closure(spec, max_dim=n * n).dim == n * n:
+        if _full_mod(gens, n):
             return True
     return False
+
+
+def _full_mod(gens: list[list[list[int]]], n: int) -> bool:
+    """Whether the unital algebra generated by the n x n matrices ``gens``
+    over F_ELL is all of M_n(F_ELL); the closure of
+    linalg.algebra_closure, on plain ints."""
+    full = n * n
+    rows: dict[int, list[int]] = {}  # pivot -> row, 1 there and 0 before
+
+    def add(m) -> bool:
+        if len(rows) == full:
+            return False
+        v = [x for row in m for x in row]
+        for j in range(full):
+            c = v[j]
+            if not c:
+                continue
+            row = rows.get(j)
+            if row is None:
+                inv = pow(c, -1, ELL)
+                rows[j] = [x * inv % ELL for x in v]
+                return True
+            v[j:] = [(x - c * y) % ELL for x, y in zip(v[j:], row[j:])]
+        return False
+
+    # each generator as its columns' nonzero (row, value) pairs: generators
+    # are sparse, products of them need not be
+    sparse = [[[(k, y) for k, y in enumerate(col) if y] for col in zip(*g)]
+              for g in gens]
+
+    def mul(a, cols):
+        return [[sum(r[k] * y for k, y in col) % ELL for col in cols]
+                for r in a]
+
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    frontier = [m for m in [identity] + gens if add(m)]
+    while frontier and len(rows) < full:
+        frontier = [prod for b in frontier for g in sparse
+                    if add(prod := mul(b, g))]
+    return len(rows) == full
 
 
 def check_irreducible(mats: list[Mat]) -> IrredVerdict:
@@ -152,6 +211,8 @@ def check_modified_nilpotent_irreducible(V: Rep, deformations: dict,
     irreducibility of the F_i alone gives generic irreducibility of the
     family. route='direct' instead closes the M_i(z) over the z-field.
     """
+    if route not in ("specialize", "direct"):
+        raise ValueError(f"unknown route {route!r}")
     cd = V.cartan
     Ms = {}
     for i in cd.nodes:

@@ -311,6 +311,30 @@ class Rat:
             raise PoleAtPoint({k: str(Rat(v)) for k, v in assignments.items()})
         return Rat(_field.new(numer, denom))
 
+    def residue(self, point: dict[str, int], prime: int) -> int:
+        """The value modulo ``prime`` at ``point`` (name -> integer), read from
+        the reduced numerator and denominator; ``point`` must assign every
+        name the value depends on.
+
+        Raises PoleAtPoint if the denominator vanishes there modulo ``prime``.
+        """
+        f = self.f
+        names = [s.name for s in f.field.symbols]
+
+        def at(poly) -> int:
+            total = 0
+            for e, c in poly.iterterms():
+                for i, k in enumerate(e):
+                    if k:
+                        c = c * pow(point[names[i]], k, prime) % prime
+                total += c
+            return total % prime
+
+        den = at(f.denom)
+        if not den:
+            raise PoleAtPoint(point)
+        return at(f.numer) * pow(den, -1, prime) % prime
+
     # -- printing ---------------------------------------------------------
     def __str__(self) -> str:
         f = self.f

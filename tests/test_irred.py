@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qloopk import irred
 from qloopk.irred import (DeformationNotUpper, check_generic_tensor_irreducible,
@@ -30,21 +32,43 @@ class TestBurnside:
         assert v.closure_dim == 4
 
     def test_specialization_ignores_unrelated_constants(self, fund, monkeypatch):
+        # the fast path's images over F_ELL must not move when a constant
+        # that sorts before every used name is registered late
         seen = []
-        closure = irred.algebra_closure
+        full_mod = irred._full_mod
 
-        def recording(mats, max_dim=None):
-            seen.append([m.to_json() for m in mats])
-            return closure(mats, max_dim=max_dim)
+        def recording(gens, n):
+            seen.append(gens)
+            return full_mod(gens, n)
 
-        monkeypatch.setattr(irred, "algebra_closure", recording)
+        monkeypatch.setattr(irred, "_full_mod", recording)
         mats = [fund.E[0], fund.F[0], fund.E[1]]
         assert irred._specialized_full(mats, fund.dim)
         before = list(seen)
         seen.clear()
         const("AA_unrelated_first")  # sorts before every lower-case name
         assert irred._specialized_full(mats, fund.dim)
-        assert seen == before
+        assert before and seen == before
+
+    @pytest.mark.parametrize("make", [
+        lambda pole: [Mat([[zero, one], [zero, zero]]),
+                      Mat([[zero, zero], [pole, zero]])],
+        lambda pole: [Mat.diagonal([one, pole])],
+    ], ids=["full", "reducible"])
+    def test_pole_modulo_prime_falls_through(self, make, monkeypatch):
+        # a denominator divisible by ELL vanishes at every point: each
+        # attempt is skipped and the exact closure decides
+        calls = []
+        monkeypatch.setattr(irred, "_full_mod",
+                            lambda gens, n: calls.append(gens) or True)
+        mats = make(one / irred.ELL)
+        exact = irred.algebra_closure(mats, max_dim=4)
+        assert not irred._specialized_full(mats, 2)
+        assert calls == []
+        v = check_irreducible(mats)
+        assert v.irreducible is (exact.dim == 4)
+        assert v.closure_dim == exact.dim
+        assert "constant specialization" not in v.detail
 
     def test_one_dimensional(self):
         v = check_irreducible([Mat([[Rat(7)]])])
@@ -108,6 +132,10 @@ class TestModifiedNilpotent:
             vb = check_modified_nilpotent_irreducible(V, defs, route="direct")
             assert va.irreducible == vb.irreducible
 
+    def test_rejects_unknown_route(self, fund):
+        with pytest.raises(ValueError, match="drect"):
+            check_modified_nilpotent_irreducible(fund, {}, route="drect")
+
     def test_rejects_lowering_deformation(self, fund):
         with pytest.raises(DeformationNotUpper):
             check_modified_nilpotent_irreducible(
@@ -141,3 +169,34 @@ class TestTensor:
             loci=[{"b": a * q ** 2, "z": one}, {"b": a * q ** -2, "z": one}])
         assert v.irreducible is True
         assert "pole" in v.detail and "singular" in v.detail
+
+
+_Z_ENTRY = st.tuples(st.integers(-2, 2), st.integers(-2, 2),
+                     st.integers(-2, 2)).map(
+    lambda t: (Rat(t[0]) + Rat(t[1]) * z) / (Rat(t[2]) + z))
+
+
+@st.composite
+def _generator_sets(draw):
+    """1-3 integer n x n matrices, n = 2 or 3, some with one entry in Q(z)."""
+    n = draw(st.integers(2, 3))
+    rows = st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                    min_size=n, max_size=n)
+    mats = []
+    for _ in range(draw(st.integers(1, 3))):
+        m = Mat(draw(rows))
+        if draw(st.booleans()):
+            m.data[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] \
+                = draw(_Z_ENTRY)
+        mats.append(m)
+    return n, mats
+
+
+@settings(max_examples=40, deadline=None)
+@given(_generator_sets())
+def test_fast_path_full_implies_exact_full(case):
+    # differential oracle: the F_ELL certificate never claims more than the
+    # exact closure over Q(z) proves
+    n, mats = case
+    if irred._specialized_full(mats, n):
+        assert irred.algebra_closure(mats, max_dim=n * n).dim == n * n
