@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .linalg import Mat, invert
 from .repcore import Rep, pullback_chevalley_tau
-from .rootdata import (GradingShift, RootVec, SatakeDiagram, bilinear,
+from .rootdata import (GradingShift, SatakeDiagram, bilinear,
                        classical_in_root_basis, rho, theta_on_roots)
 from .scalars import Rat, one, p, q_factorial, zero
 
@@ -33,6 +33,18 @@ class InconsistentExtension(BraidError):
     pass
 
 
+def _divided_powers(X: Mat, d: int) -> list[Mat]:
+    """X^(k) = X^k / [k]_{q_i}! for k = 0, 1, ..., up to the first zero
+    power (at most k = dim + 1)."""
+    out = [Mat.identity(X.nrows)]
+    for k in range(1, X.nrows + 2):
+        out.append((out[-1] @ X).scale(q_factorial(k, d).inv()
+                                       * q_factorial(k - 1, d)))
+        if out[-1].is_zero():
+            break
+    return out
+
+
 def lusztig_T(rep: Rep, i: int) -> Mat:
     """Braid group operator T''_{i,1} on the module.
 
@@ -43,23 +55,7 @@ def lusztig_T(rep: Rep, i: int) -> Mat:
     d = rep.cartan.d[i]
     qi = p ** (2 * d)
     n = rep.dim
-    # divided powers until nilpotency
-    Ed = [Mat.identity(n)]
-    Fd = [Mat.identity(n)]
-    k = 1
-    while not Ed[-1].is_zero() or k <= 1:
-        Ed.append((Ed[-1] @ rep.E[i]).scale(q_factorial(k, d).inv()
-                                            * q_factorial(k - 1, d)))
-        k += 1
-        if k > n + 1:
-            break
-    k = 1
-    while not Fd[-1].is_zero() or k <= 1:
-        Fd.append((Fd[-1] @ rep.F[i]).scale(q_factorial(k, d).inv()
-                                            * q_factorial(k - 1, d)))
-        k += 1
-        if k > n + 1:
-            break
+    Ed, Fd = _divided_powers(rep.E[i], d), _divided_powers(rep.F[i], d)
     amax, cmax = len(Ed) - 1, len(Ed) - 1
     bmax = len(Fd) - 1
     EF: dict[tuple[int, int], Mat] = {}  # E^(a) F^(b), shared by all columns
@@ -288,6 +284,31 @@ def _aux_diagram(spec: TwistSpec) -> SatakeDiagram:
     return SatakeDiagram(cd, Y, tuple(eta))
 
 
+def gauge_matrix(rep: Rep, spec: TwistSpec) -> Mat:
+    """Realized matrix of the gauge operator g on the module."""
+    if spec.gauge == "semi-standard":
+        return t_theta_matrix(rep, spec.diagram)
+    if spec.gauge == "standard":
+        return Mat.identity(rep.dim)
+    if spec.gauge == "auxiliary":
+        return (invert(t_theta_matrix(rep, _aux_diagram(spec)))
+                @ t_theta_matrix(rep, spec.diagram))
+    if spec.gauge == "diagonal":
+        beta = {i: Rat(v) for i, v in (spec.beta or {}).items()}
+        entries = []
+        for wt in rep.weights:
+            val = one
+            for i in rep.cartan.nodes:
+                h = wt[i]
+                if h.denominator != 1:
+                    raise GaugeInvalid("diagonal gauge needs integral coroot values")
+                if i in beta and h != 0:
+                    val = val * beta[i] ** int(h)
+            entries.append(val)
+        return Mat.diagonal(entries)
+    raise GaugeInvalid(f"unknown gauge {spec.gauge!r}")
+
+
 def realize_twist(rep: Rep, spec: TwistSpec) -> RealizedTwist:
     """Build pi_{psi*(V)} for psi = Ad(g) ∘ theta_q^{-1}.
 
@@ -301,26 +322,6 @@ def realize_twist(rep: Rep, spec: TwistSpec) -> RealizedTwist:
     if spec.gauge == "semi-standard":
         return RealizedTwist(rep, spec, Mat.identity(rep.dim), pulled)
     Tprime = t_theta_matrix(pulled, diagram)
-    if spec.gauge == "standard":
-        g_mat = Mat.identity(rep.dim)
-    elif spec.gauge == "auxiliary":
-        aux = _aux_diagram(spec)
-        g_mat = invert(t_theta_matrix(rep, aux)) @ t_theta_matrix(rep, diagram)
-    elif spec.gauge == "diagonal":
-        beta = {i: Rat(v) for i, v in (spec.beta or {}).items()}
-        entries = []
-        for wt in rep.weights:
-            val = one
-            for i in rep.cartan.nodes:
-                h = wt[i]
-                if h.denominator != 1:
-                    raise GaugeInvalid("diagonal gauge needs integral coroot values")
-                if i in beta and h != 0:
-                    val = val * beta[i] ** int(h)
-            entries.append(val)
-        g_mat = Mat.diagonal(entries)
-    else:
-        raise GaugeInvalid(f"unknown gauge {spec.gauge!r}")
-    C = g_mat @ invert(Tprime)
+    C = gauge_matrix(rep, spec) @ invert(Tprime)
     target = pulled.conjugated(C, label=f"psi*({rep.label})")
     return RealizedTwist(rep, spec, C, target)

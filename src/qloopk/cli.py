@@ -18,11 +18,11 @@ from .irred import (check_generic_tensor_irreducible, check_irreducible,
 from .kmat import (convert_grading, solve_K, verify_K_unitarity, verify_gre,
                    verify_standard_re)
 from .linalg import Mat
-from .repcore import build_rep, tensor, verify_relations
+from .repcore import RepError, build_rep, tensor, verify_relations
 from .rmat import detect_degeneration, solve_R, verify_R_unitarity, verify_YBE
 from .rootdata import (GradingShift, QSPParams, SatakeDiagram, affine_A,
                        validate_gsat)
-from .scalars import Rat, parse as parse_rat
+from .scalars import PoleAtPoint, Rat, parse as parse_rat
 
 
 class UsageError(Exception):
@@ -49,24 +49,42 @@ def _parse_vars(s: str | None) -> dict:
         if "=" not in chunk:
             raise UsageError(f"bad --vars entry {chunk!r}, expected name=value")
         k, v = chunk.split("=", 1)
+        if k.strip() == "q":
+            raise UsageError("substitute p, not q")
         out[k.strip()] = _parse_value(v.strip())
     return out
 
 
+def _substituted(x: Rat, vars: dict) -> Rat:
+    """``x`` at the ``--vars`` point; a pole there is a usage error."""
+    try:
+        return x.substitute(vars)
+    except PoleAtPoint as exc:
+        raise UsageError(str(exc))
+
+
+_REP_SIZES = {"eval-sl2": "spin2", "eval-vector": "N"}
+
+
 def _rep_spec(s: str) -> dict:
     parts = s.split(":")
-    if parts[0] == "eval-sl2" and len(parts) == 3:
-        return {"kind": "eval-sl2", "spin2": int(parts[1]), "a": parts[2]}
-    if parts[0] == "eval-vector" and len(parts) == 3:
-        return {"kind": "eval-vector", "N": int(parts[1]), "a": parts[2]}
+    if len(parts) == 3 and parts[0] in _REP_SIZES:
+        try:
+            return {"kind": parts[0], _REP_SIZES[parts[0]]: int(parts[1]),
+                    "a": parts[2]}
+        except ValueError:
+            pass
     raise UsageError(f"bad --rep {s!r}; use eval-sl2:<spin2>:<a> or "
                      "eval-vector:<N>:<a>")
 
 
 def _build(s: str, vars: dict):
     spec = _rep_spec(s)
-    spec["a"] = _parse_value(str(spec["a"])).substitute(vars)
-    return build_rep(spec)
+    spec["a"] = _substituted(_parse_value(str(spec["a"])), vars)
+    try:
+        return build_rep(spec)
+    except RepError as exc:
+        raise UsageError(f"module {s!r}: {exc}")
 
 
 def _parse_tau(s: str, n1: int):
@@ -81,10 +99,16 @@ def _parse_tau(s: str, n1: int):
     return tau
 
 
-def _parse_nodes(s: str | None):
+def _parse_nodes(s: str | None, n1: int):
     if not s:
         return ()
-    return tuple(int(x) for x in s.split(","))
+    try:
+        nodes = tuple(int(x) for x in s.split(","))
+    except ValueError:
+        raise UsageError(f"bad --X {s!r}; use a comma list of nodes")
+    if any(not 0 <= i < n1 for i in nodes):
+        raise UsageError(f"--X nodes must lie in 0..{n1 - 1}")
+    return nodes
 
 
 def _load_scenario(name: str) -> dict:
@@ -107,9 +131,9 @@ class Scenario:
         self.cartan = affine_A(int(dg["n"]))
         self.diagram = SatakeDiagram(self.cartan, tuple(dg.get("X", ())),
                                      tuple(dg["tau"]))
-        gamma = {int(k): _parse_value(v).substitute(vars)
+        gamma = {int(k): _substituted(_parse_value(v), vars)
                  for k, v in data["gamma"].items()}
-        sigma = {int(k): _parse_value(v).substitute(vars)
+        sigma = {int(k): _substituted(_parse_value(v), vars)
                  for k, v in data["sigma"].items()}
         self.params = QSPParams(self.diagram, gamma, sigma)
         self.twist = TwistSpec.from_json(self.diagram, data.get("twist",
@@ -182,8 +206,10 @@ def _report_exit(ok: bool) -> int:
 def _cmd_gsat_validate(args) -> tuple[int, dict]:
     if args.type != "A":
         raise UsageError("only untwisted type A is built in")
+    if args.n < 1:
+        raise UsageError("--n must be at least 1")
     cartan = affine_A(args.n)
-    X = _parse_nodes(args.X)
+    X = _parse_nodes(args.X, args.n + 1)
     tau = _parse_tau(args.tau, args.n + 1)
     report = validate_gsat(cartan, X, tau)
     return _report_exit(report.valid), {"validate": report.to_json()}
@@ -193,7 +219,10 @@ def _reps_from_args(args, vars, need: int):
     specs = args.rep or []
     if len(specs) != need:
         raise UsageError(f"expected {need} --rep arguments, got {len(specs)}")
-    return [_build(s, vars) for s in specs]
+    reps = [_build(s, vars) for s in specs]
+    if any(r.cartan != reps[0].cartan for r in reps):
+        raise UsageError("--rep modules must share one Cartan datum")
+    return reps
 
 
 def _cmd_rep_build(args) -> tuple[int, dict]:
@@ -207,10 +236,9 @@ def _cmd_rep_build(args) -> tuple[int, dict]:
 
 def _cmd_rep_check(args) -> tuple[int, dict]:
     vars = _parse_vars(args.vars)
-    specs = args.rep or []
-    if not specs:
+    if not args.rep:
         raise UsageError("rep check needs at least one --rep")
-    reps = [_build(s, vars) for s in specs]
+    reps = _reps_from_args(args, vars, len(args.rep))
     V = reps[0]
     for W in reps[1:]:
         V = tensor(V, W)

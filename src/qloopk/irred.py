@@ -19,10 +19,10 @@ nothing; the exact closure then decides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .linalg import Mat, SpanBasis, algebra_closure, kron
-from .repcore import Rep
+from .repcore import Rep, coproduct
 from .rootdata import GradingShift, QSPParams, shift_exponent, theta_on_roots
 from .scalars import PoleAtPoint, Rat, one, z as z_var, zero
 
@@ -253,17 +253,14 @@ def check_generic_tensor_irreducible(V: Rep, W: Rep,
     of the coproduct generator set; loci, when given, are parameter points
     classified by the R-matrix degeneration detector and reported in the
     verdict detail."""
-    cd = V.cartan
-    Iv, Iw = Mat.identity(V.dim), Mat.identity(W.dim)
     gens = []
-    for i in cd.nodes:
+    for i in V.cartan.nodes:
         if i == 0:
             # z-scaled coproducts specialized at z = 0
-            gens.append(kron(V.E[0], Iw))
-            gens.append(kron(Iv, W.F[0]))
+            gens.append(kron(V.E[0], Mat.identity(W.dim)))
+            gens.append(kron(Mat.identity(V.dim), W.F[0]))
         else:
-            gens.append(kron(V.E[i], Iw) + kron(V.K[i], W.E[i]))
-            gens.append(kron(V.F[i], W.Kinv(i)) + kron(Iv, W.F[i]))
+            gens.extend(coproduct(V, W, i))
         gens.append(kron(V.K[i], W.K[i]))
         gens.append(kron(V.Kinv(i), W.Kinv(i)))
     verdict = check_irreducible(gens)

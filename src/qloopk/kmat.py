@@ -5,7 +5,8 @@ The intertwining system is K(z) · pi_{V,z}(b) = pi_{psi*(V),1/z}(b) · K(z)
 with b running over the coideal generators: all B_i, the X-subalgebra
 generators, and (when the restricted rank exceeds one) the theta-fixed
 Cartan lattice generators. Both sides are realized concretely, so solving
-is a nullspace computation over the scalar fraction field.
+is the nullspace computation of linalg.intertwiner_kernel over the scalar
+fraction field, with all n^2 entries of K unknown.
 """
 
 from __future__ import annotations
@@ -13,14 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .braid import RealizedTwist, TwistSpec, t_theta_matrix, theta_q_Fs, realize_twist
-from .linalg import Mat, SpanBasis, flip, invert, kron
+from .braid import (RealizedTwist, TwistSpec, gauge_matrix, realize_twist,
+                    theta_q_Fs)
+from .linalg import Mat, flip, intertwiner_kernel, kron
 from .repcore import Rep, ell_highest_indices
 from .rmat import CheckReport, _first_nonzero, check_product, solve_R
 from .rootdata import (GradingShift, QSPParams, SatakeDiagram,
                        classical_in_root_basis, shift_exponent,
                        theta_on_coroots, theta_on_roots)
-from .scalars import Poly, Rat, one, z as z_var, w as w_var, zero
+from .scalars import Poly, Rat, z as z_var, w as w_var
 
 
 class KmatError(Exception):
@@ -121,59 +123,16 @@ class KMatrixResult:
                 "normalization": {k: str(v) for k, v in self.normalization.items()}}
 
 
-def gauge_matrix(rep: Rep, spec: TwistSpec) -> Mat:
-    """Realized matrix of the gauge operator g on the module."""
-    from .braid import _aux_diagram, GaugeInvalid
-    if spec.gauge == "semi-standard":
-        return t_theta_matrix(rep, spec.diagram)
-    if spec.gauge == "standard":
-        return Mat.identity(rep.dim)
-    if spec.gauge == "auxiliary":
-        aux = _aux_diagram(spec)
-        return invert(t_theta_matrix(rep, aux)) @ t_theta_matrix(rep, spec.diagram)
-    if spec.gauge == "diagonal":
-        beta = {i: Rat(v) for i, v in (spec.beta or {}).items()}
-        entries = []
-        for wt in rep.weights:
-            val = one
-            for i in rep.cartan.nodes:
-                if i in beta and wt[i] != 0:
-                    val = val * beta[i] ** int(wt[i])
-            entries.append(val)
-        return Mat.diagonal(entries)
-    raise GaugeInvalid(f"unknown gauge {spec.gauge!r}")
-
-
-def _raw_solve(rep: Rep, realized: RealizedTwist, shift: GradingShift,
-               params: QSPParams) -> tuple[list[list[Rat]], int]:
-    src = qsp_generators(rep, params, shift, z_var)
-    tgt = qsp_generators(realized.target, params, shift, z_var.inv())
-    n = rep.dim
-    span = SpanBasis(n * n)
-    for (_, L), (_, R) in zip(src, tgt):
-        # entries of K L - R K, K unknown
-        for r in range(n):
-            for c in range(n):
-                row = [zero] * (n * n)
-                nz = False
-                for k in range(n):
-                    if not L[k, c].is_zero():
-                        row[r * n + k] = row[r * n + k] + L[k, c]
-                        nz = True
-                    if not R[r, k].is_zero():
-                        row[k * n + c] = row[k * n + c] - R[r, k]
-                        nz = True
-                if nz:
-                    span.add(row)
-    kernel = span.nullspace()
-    return kernel, n
-
-
 def solve_K(rep: Rep, twist: TwistSpec, shift: GradingShift,
             params: QSPParams, normalize: bool = True) -> KMatrixResult:
     twist.check_admissible(shift, params)
     realized = realize_twist(rep, twist)
-    kernel, n = _raw_solve(rep, realized, shift, params)
+    src = qsp_generators(rep, params, shift, z_var)
+    tgt = qsp_generators(realized.target, params, shift, z_var.inv())
+    n = rep.dim
+    kernel = intertwiner_kernel(
+        [(L, R) for (_, L), (_, R) in zip(src, tgt)],
+        {(r, c): r * n + c for r in range(n) for c in range(n)})
     if len(kernel) != 1:
         raise KernelDimension(len(kernel))
     K = Mat([[kernel[0][r * n + c] for c in range(n)] for r in range(n)])
@@ -275,10 +234,7 @@ def verify_standard_re(V: Rep, W: Rep, params: QSPParams,
     KV = solve_K(V, twist, shift, params)
     KW = solve_K(W, twist, shift, params)
     for T, name in ((KV.realized, "V"), (KW.realized, "W")):
-        src, tgt = T.source, T.target
-        same = all(tgt.E[i] == src.E[i] and tgt.F[i] == src.F[i]
-                   and tgt.K[i] == src.K[i] for i in diagram.cartan.nodes)
-        if not same:
+        if not T.target.same_action(T.source):
             return CheckReport(False, f"twist does not fix {name}; "
                                       "standard form unavailable")
     woz = (w_var / z_var)
@@ -299,10 +255,7 @@ def verify_K_unitarity(V: Rep, twist: TwistSpec, shift: GradingShift,
     if KV.normalization.get("mode") != "gauge-hw":
         return CheckReport(False, "source K not gauge-normalizable")
     Vt = KV.realized.target
-    back = realize_twist(Vt, twist)
-    same = all(back.target.E[i] == V.E[i] and back.target.F[i] == V.F[i]
-               and back.target.K[i] == V.K[i] for i in V.cartan.nodes)
-    if not same:
+    if not realize_twist(Vt, twist).target.same_action(V):
         raise NotInvolutive("psi^2 does not fix the module")
     Kt = solve_K(Vt, twist, shift, params, normalize=False)
     Kt = normalize_K_paired(Kt, V, twist)

@@ -353,12 +353,48 @@ class SpanBasis:
 
     def nullspace(self) -> list[list[Rat]]:
         """Kernel of the matrix whose rows are the stored vectors."""
-        order = sorted(range(len(self.rows)), key=lambda i: self.pivots[i])
-        mat = Mat([self.rows[i] for i in order]) if self.rows else Mat.zeros(0, self.ncols)
         if not self.rows:
             return [[one if i == j else zero for i in range(self.ncols)]
                     for j in range(self.ncols)]
-        return nullspace(mat)
+        order = sorted(range(len(self.rows)), key=lambda i: self.pivots[i])
+        return nullspace(Mat([self.rows[i] for i in order]))
+
+
+def intertwiner_kernel(pairs: list[tuple[Mat, Mat]],
+                       unknowns: dict[tuple[int, int], int]) -> list[list[Rat]]:
+    """Kernel of X ↦ (X·A − B·X) over the ``(A, B)`` pairs, with X supported
+    on ``unknowns``, which maps an entry (row, col) of X to its coordinate.
+
+    The system gets one row per entry (r, c) of each pair's equation, in pair
+    order and then in (r, c) order; rows whose coefficients are all zero are
+    skipped. Returns a basis of the kernel as coordinate vectors.
+    """
+    nunk = len(unknowns)
+    span = SpanBasis(nunk)
+    for A, B in pairs:
+        n = A.nrows
+        a_by_col = [[(k, A.data[k][c]) for k in range(n)
+                     if not A.data[k][c].is_zero()] for c in range(n)]
+        b_by_row = [[(k, x) for k, x in enumerate(row) if not x.is_zero()]
+                    for row in B.data]
+        for r in range(n):
+            for c in range(n):
+                # (XA - BX)[r, c] = sum_k X[r, k] A[k, c] - B[r, k] X[k, c]
+                coeffs: dict[int, Rat] = {}
+                for k, x in a_by_col[c]:
+                    u = unknowns.get((r, k))
+                    if u is not None:
+                        coeffs[u] = coeffs.get(u, zero) + x
+                for k, x in b_by_row[r]:
+                    u = unknowns.get((k, c))
+                    if u is not None:
+                        coeffs[u] = coeffs.get(u, zero) - x
+                if any(not x.is_zero() for x in coeffs.values()):
+                    row = [zero] * nunk
+                    for u, x in coeffs.items():
+                        row[u] = x
+                    span.add(row)
+    return span.nullspace()
 
 
 def algebra_closure(mats: list[Mat], max_dim: int | None = None) -> SpanBasis:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .linalg import Mat, kron
 from .rootdata import CartanDatum, DatumMismatch, affine_A
-from .scalars import Rat, one, q_binomial, q_int, zero
+from .scalars import Rat, one, q_binomial, q_int
 
 
 class RepError(Exception):
@@ -43,6 +43,11 @@ class Rep:
 
     def classical_weight(self, k: int) -> tuple[Fraction, ...]:
         return self.weights[k][1:]
+
+    def same_action(self, other: "Rep") -> bool:
+        """Whether both modules give every E_i, F_i, K_i the same matrix."""
+        return all(self.E[i] == other.E[i] and self.F[i] == other.F[i]
+                   and self.K[i] == other.K[i] for i in self.cartan.nodes)
 
     def conjugated(self, C: Mat, label: str = "") -> "Rep":
         """The equivalent module with action x ↦ C x C^{-1}.
@@ -217,39 +222,37 @@ def verify_relations(rep: Rep) -> RelationReport:
     return RelationReport(not fails, tuple(dict.fromkeys(fails)))
 
 
+def coproduct(v: Rep, w: Rep, i: int, op: bool = False,
+              z: Rat = one) -> tuple[Mat, Mat]:
+    """Matrices of Δ(E_i), Δ(F_i) on V ⊗ W_z, where
+    Δ(E_i) = E_i ⊗ 1 + K_i ⊗ E_i,  Δ(F_i) = F_i ⊗ K_i^{-1} + 1 ⊗ F_i,
+    or of the opposite coproduct Δ^op = (flip) ∘ Δ when ``op`` is set. W_z
+    carries the homogeneous grading shift: its node-0 generators E_0, F_0
+    are scaled by z, 1/z."""
+    Ew, Fw = w.E[i], w.F[i]
+    if i == 0 and not z.is_one():
+        Ew, Fw = Ew.scale(z), Fw.scale(z.inv())
+    Iv, Iw = Mat.identity(v.dim), Mat.identity(w.dim)
+    if op:
+        return (kron(Iv, Ew) + kron(v.E[i], w.K[i]),
+                kron(v.F[i], Iw) + kron(v.Kinv(i), Fw))
+    return (kron(v.E[i], Iw) + kron(v.K[i], Ew),
+            kron(v.F[i], w.Kinv(i)) + kron(Iv, Fw))
+
+
 def tensor(v: Rep, w: Rep) -> Rep:
-    """Tensor product via the coproduct
-    Δ(E_i) = E_i ⊗ 1 + K_i ⊗ E_i,  Δ(F_i) = F_i ⊗ K_i^{-1} + 1 ⊗ F_i."""
+    """Tensor product V ⊗ W through :func:`coproduct`."""
     if v.cartan != w.cartan:
         raise DatumMismatch("tensor factors over different data")
     cd = v.cartan
-    Iv, Iw = Mat.identity(v.dim), Mat.identity(w.dim)
     E, F, K = {}, {}, {}
     for i in cd.nodes:
-        E[i] = kron(v.E[i], Iw) + kron(v.K[i], w.E[i])
-        F[i] = kron(v.F[i], w.Kinv(i)) + kron(Iv, w.F[i])
+        E[i], F[i] = coproduct(v, w, i)
         K[i] = kron(v.K[i], w.K[i])
     weights = tuple(tuple(a + b for a, b in zip(v.weights[k], w.weights[l]))
                     for k in range(v.dim) for l in range(w.dim))
     return Rep(cd, v.dim * w.dim, E, F, K, weights,
                f"({v.label})⊗({w.label})")
-
-
-def coproduct_op(v: Rep, w: Rep) -> Rep:
-    """Tensor product with the opposite coproduct Δ^op = (flip) ∘ Δ."""
-    if v.cartan != w.cartan:
-        raise DatumMismatch("tensor factors over different data")
-    cd = v.cartan
-    Iv, Iw = Mat.identity(v.dim), Mat.identity(w.dim)
-    E, F, K = {}, {}, {}
-    for i in cd.nodes:
-        E[i] = kron(Iv, w.E[i]) + kron(v.E[i], w.K[i])
-        F[i] = kron(v.F[i], Iw) + kron(v.Kinv(i), w.F[i])
-        K[i] = kron(v.K[i], w.K[i])
-    weights = tuple(tuple(a + b for a, b in zip(v.weights[k], w.weights[l]))
-                    for k in range(v.dim) for l in range(w.dim))
-    return Rep(cd, v.dim * w.dim, E, F, K, weights,
-               f"({v.label})⊗op({w.label})")
 
 
 def pullback_chevalley_tau(rep: Rep, tau, label: str = "") -> Rep:

@@ -2,18 +2,19 @@
 
 The solver imposes R(z) · (pi_V ⊗ pi_{W,z})(Δ(x)) = (pi_V ⊗ pi_{W,z})(Δ^op(x)) · R(z)
 over the Chevalley generators, with the second factor carrying the homogeneous
-grading shift (z on the affine node only). Unknowns are restricted to entries
-connecting equal classical-weight classes, which the K-generator conditions
-force anyway; this keeps the sl3 system at 15 unknowns instead of 81.
+grading shift (z on the affine node only), and takes the kernel with
+linalg.intertwiner_kernel. Unknowns are restricted to entries connecting equal
+classical-weight classes, which the K-generator conditions force anyway; this
+keeps the sl3 system at 15 unknowns instead of 81.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Mat, SpanBasis, flip, kron, product_residual, rank
-from .repcore import Rep
-from .scalars import PoleAtPoint, Rat, one, z as z_var, zero
+from .linalg import Mat, flip, intertwiner_kernel, product_residual, rank
+from .repcore import Rep, coproduct
+from .scalars import PoleAtPoint, Rat, z as z_var
 
 
 class RmatError(Exception):
@@ -44,34 +45,14 @@ class RMatrixResult:
                                   "scalar": str(self.scalar)}}
 
 
-def _shifted_pair_actions(v: Rep, w: Rep, zval: Rat):
-    """Matrices of Δ(x) and Δ^op(x) on V ⊗ W_z for x in {E_i, F_i}."""
-    cd = v.cartan
-    Iv, Iw = Mat.identity(v.dim), Mat.identity(w.dim)
-    out = []
-    for i in cd.nodes:
-        sE = zval if i == 0 else one
-        Ew = w.E[i].scale(sE)
-        Fw = w.F[i].scale(sE.inv())
-        A = kron(v.E[i], Iw) + kron(v.K[i], Ew)
-        B = kron(Iv, Ew) + kron(v.E[i], w.K[i])
-        out.append((A, B))
-        A = kron(v.F[i], w.Kinv(i)) + kron(Iv, Fw)
-        B = kron(v.Kinv(i), Fw) + kron(v.F[i], Iw)
-        out.append((A, B))
-    return out
-
-
-def _tensor_weight_classes(v: Rep, w: Rep):
+def _tensor_weight_classes(v: Rep, w: Rep) -> dict[tuple, list[int]]:
     classes: dict[tuple, list[int]] = {}
-    labels = []
     for i in range(v.dim):
         for j in range(w.dim):
             cw = tuple(a + b for a, b in
                        zip(v.classical_weight(i), w.classical_weight(j)))
             classes.setdefault(cw, []).append(i * w.dim + j)
-            labels.append(cw)
-    return classes, labels
+    return classes
 
 
 def solve_R(v: Rep, w: Rep) -> RMatrixResult:
@@ -79,44 +60,17 @@ def solve_R(v: Rep, w: Rep) -> RMatrixResult:
     tensor vector. Raises KernelDimension if the solution space is not a
     line, NoHighestWeightVector if the weight-maximal block is not 1-dim."""
     n = v.dim * w.dim
-    classes, labels = _tensor_weight_classes(v, w)
+    classes = _tensor_weight_classes(v, w)
     # unknowns: (r, c) with equal class
     unk: dict[tuple[int, int], int] = {}
     for members in classes.values():
         for r in members:
             for c in members:
                 unk[(r, c)] = len(unk)
-    nunk = len(unk)
-    span = SpanBasis(nunk)
-    for A, B in _shifted_pair_actions(v, w, z_var):
-        Anz_by_col: list[list[tuple[int, Rat]]] = [[] for _ in range(n)]
-        Bnz_by_row: list[list[tuple[int, Rat]]] = [[] for _ in range(n)]
-        for r in range(n):
-            for c in range(n):
-                if not A[r, c].is_zero():
-                    Anz_by_col[c].append((r, A[r, c]))
-                if not B[r, c].is_zero():
-                    Bnz_by_row[r].append((c, B[r, c]))
-        for r in range(n):
-            for c in range(n):
-                coeffs: dict[int, Rat] = {}
-                for k, a in Anz_by_col[c]:
-                    u = unk.get((r, k))
-                    if u is not None:
-                        coeffs[u] = coeffs.get(u, zero) + a
-                for k, b in Bnz_by_row[r]:
-                    u = unk.get((k, c))
-                    if u is not None:
-                        coeffs[u] = coeffs.get(u, zero) - b
-                if coeffs:
-                    row = [zero] * nunk
-                    nz = False
-                    for u, val in coeffs.items():
-                        row[u] = val
-                        nz = nz or not val.is_zero()
-                    if nz:
-                        span.add(row)
-    kernel = span.nullspace()
+    pairs = []
+    for i in v.cartan.nodes:
+        pairs += zip(coproduct(v, w, i, z=z_var), coproduct(v, w, i, op=True, z=z_var))
+    kernel = intertwiner_kernel(pairs, unk)
     if len(kernel) != 1:
         raise KernelDimension(len(kernel))
     sol = kernel[0]

@@ -12,6 +12,32 @@ def run(capsys, *argv):
     return code, out.out
 
 
+class TestUsageErrors:
+    # malformed input is a usage error (exit 2, nothing on stdout), never a
+    # traceback with the exit code of a failed verification
+    @pytest.mark.parametrize("argv", [
+        ("rep", "build", "--rep", "eval-sl2:x:a"),
+        ("gsat", "validate", "--n", "1", "--X", "a"),
+        ("gsat", "validate", "--n", "1", "--X", "7"),
+        ("gsat", "validate", "--n", "0"),
+        ("rep", "build", "--rep", "eval-sl2:-1:a"),
+        ("rep", "build", "--rep", "eval-vector:1:a"),
+        ("rep", "build", "--rep", "eval-sl2:1:0"),
+        ("kmatrix", "compute", "--vars", "a=0"),
+        ("kmatrix", "compute", "--vars", "g0=0"),
+        ("rmatrix", "degeneration", "--rep", "eval-sl2:1:a",
+         "--rep", "eval-sl2:1:b", "--at", "q=1"),
+        ("rep", "check", "--rep", "eval-sl2:1:a", "--rep", "eval-vector:3:b"),
+        ("rmatrix", "compute", "--rep", "eval-sl2:1:a",
+         "--rep", "eval-vector:3:b"),
+    ], ids=" ".join)
+    def test_exits_two(self, capsys, argv):
+        assert main(list(argv)) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("usage error: ")
+
+
 class TestDiagramValidation:
     def test_valid(self, capsys):
         code, out = run(capsys, "gsat", "validate",

@@ -194,3 +194,20 @@ class TestConversion:
         rep = check_intertwining(converted, fund, direct.realized,
                                  o["shift"], o["params"])
         assert rep.ok, rep.detail
+
+
+class TestGaugeMatrix:
+    def test_diagonal_rejects_half_integral_weights(self, fund, onsager):
+        # weights shifted by 1/2 pair non-integrally with the coroots; the
+        # diagonal gauge used to truncate them to [[bb, 0], [0, 1]]
+        from fractions import Fraction
+
+        from qloopk.braid import realize_twist
+        half = Fraction(1, 2)
+        shifted = dataclasses.replace(
+            fund, weights=tuple(tuple(x + half for x in wt) for wt in fund.weights))
+        spec = TwistSpec(onsager["diagram"], "diagonal", beta={1: const("bb")})
+        with pytest.raises(GaugeInvalid):
+            gauge_matrix(shifted, spec)
+        with pytest.raises(GaugeInvalid):
+            realize_twist(shifted, spec)

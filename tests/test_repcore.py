@@ -4,7 +4,7 @@ import pytest
 
 from qloopk.linalg import Mat
 from qloopk.repcore import (RepError, build_eval_rep_sl2, build_rep,
-                            build_vector_rep_slN_eval, coproduct_op,
+                            build_vector_rep_slN_eval, coproduct,
                             ell_highest_indices, pullback_chevalley_tau,
                             tensor, verify_relations)
 from qloopk.scalars import Rat, const, one, q, zero
@@ -67,7 +67,12 @@ class TestRelations:
         assert report.ok, report.failures
 
     def test_opposite_coproduct_passes(self, fund, fund_b):
-        report = verify_relations(coproduct_op(fund, fund_b))
+        import dataclasses
+        ops = {i: coproduct(fund, fund_b, i, op=True) for i in fund.cartan.nodes}
+        op_rep = dataclasses.replace(tensor(fund, fund_b),
+                                     E={i: E for i, (E, _) in ops.items()},
+                                     F={i: F for i, (_, F) in ops.items()})
+        report = verify_relations(op_rep)
         assert report.ok, report.failures
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from qloopk.linalg import Mat, kron
-from qloopk.repcore import build_vector_rep_slN_eval
+from qloopk.repcore import build_vector_rep_slN_eval, coproduct
 from qloopk.rmat import (KernelDimension, detect_degeneration, solve_R,
                          verify_R_unitarity, verify_YBE)
 from qloopk.scalars import Rat, const, one, parse, q, z
@@ -30,10 +30,11 @@ class TestSolve:
         assert R_fund.hw_index == 0
 
     def test_intertwines(self, fund, fund_b, R_fund):
-        from qloopk.rmat import _shifted_pair_actions
         R = R_fund.matrix
-        for A, B in _shifted_pair_actions(fund, fund_b, z):
-            assert (R @ A - B @ R).is_zero()
+        for i in fund.cartan.nodes:
+            for A, B in zip(coproduct(fund, fund_b, i, z=z),
+                            coproduct(fund, fund_b, i, op=True, z=z)):
+                assert (R @ A - B @ R).is_zero()
 
     def test_sl3_vector_pair(self, a, b):
         V = build_vector_rep_slN_eval(3, a)
