@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .linalg import Mat, invert
 from .repcore import Rep, pullback_chevalley_tau
-from .rootdata import (GradingShift, SatakeDiagram, bilinear,
+from .rootdata import (GradingShift, SatakeDiagram, bilinear, build_Y0,
                        classical_in_root_basis, rho, theta_on_roots)
 from .scalars import Rat, one, p, q_factorial, zero
 
@@ -268,20 +268,11 @@ class RealizedTwist:
 
 
 def _aux_diagram(spec: TwistSpec) -> SatakeDiagram:
-    cd = spec.diagram.cartan
-    from .rootdata import opposition_involution
-    Y = tuple(sorted(spec.Y))
-    eta = list(cd.nodes)
-    oi = opposition_involution(cd, Y)
-    for i in Y:
-        eta[i] = oi[i]
-    # outside Y the auxiliary automorphism swaps 0 with tau(0)
     t0 = spec.diagram.tau[0]
-    rest = [i for i in cd.nodes if i not in Y]
+    rest = [i for i in spec.diagram.cartan.nodes if i not in spec.Y]
     if sorted(rest) != sorted({0, t0}):
         raise GaugeInvalid("auxiliary gauge expects Y = nodes minus {0, tau(0)}")
-    eta[0], eta[t0] = t0, 0
-    return SatakeDiagram(cd, Y, tuple(eta))
+    return build_Y0(spec.diagram)
 
 
 def gauge_matrix(rep: Rep, spec: TwistSpec) -> Mat:

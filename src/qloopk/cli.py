@@ -42,6 +42,15 @@ def _parse_value(s: str) -> Rat:
         raise UsageError(str(exc))
 
 def _parse_vars(s: str | None) -> dict:
+    """``--vars`` names constants only: p, z and w are never substituted
+    into a computed matrix, so naming them is a usage error."""
+    out = _parse_point(s)
+    if out.keys() & {"p", "z", "w"}:
+        raise UsageError("--vars takes named constants only, not p, z or w")
+    return out
+
+
+def _parse_point(s: str | None) -> dict:
     out = {}
     if not s:
         return out
@@ -262,7 +271,7 @@ def _cmd_rmatrix(args) -> tuple[int, dict]:
         return _report_exit(report.ok), {"unitarity": report.to_json()}
     if args.action == "degeneration":
         V, W = _reps_from_args(args, vars, 2)
-        point = _parse_vars(args.at)
+        point = _parse_point(args.at)
         if not point:
             raise UsageError("degeneration needs --at name=value,...")
         kind = detect_degeneration(V, W, {k: v for k, v in point.items()})

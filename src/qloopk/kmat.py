@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .braid import (RealizedTwist, TwistSpec, gauge_matrix, realize_twist,
                     theta_q_Fs)
-from .linalg import Mat, flip, intertwiner_kernel, kron
+from .linalg import Mat, intertwiner_kernel, kron, permute, swap
 from .repcore import Rep, ell_highest_indices
 from .rmat import CheckReport, _first_nonzero, check_product, solve_R
 from .rootdata import (GradingShift, QSPParams, SatakeDiagram,
@@ -194,11 +194,6 @@ def normalize_K_paired(res: KMatrixResult, source: Rep, source_twist: TwistSpec)
     return res
 
 
-def _r21(Rab: Mat, dim_a: int, dim_b: int) -> Mat:
-    """(1 2) ∘ R_AB ∘ (1 2): acts on B ⊗ A."""
-    return flip(dim_a, dim_b) @ Rab @ flip(dim_b, dim_a)
-
-
 def verify_gre(V: Rep, W: Rep, twist: TwistSpec, shift: GradingShift,
                params: QSPParams,
                KV: KMatrixResult | None = None,
@@ -208,9 +203,11 @@ def verify_gre(V: Rep, W: Rep, twist: TwistSpec, shift: GradingShift,
     KW = KW if KW is not None else solve_K(W, twist, shift, params)
     Vt, Wt = KV.realized.target, KW.realized.target
     woz = (w_var / z_var)
-    R_tt = _r21(solve_R(Wt, Vt).matrix, Wt.dim, Vt.dim).substitute({"z": woz})
+    R_tt = permute(solve_R(Wt, Vt).matrix.substitute({"z": woz}),
+                   swap(Wt.dim, Vt.dim))
     R_tW = solve_R(Vt, W).matrix.substitute({"z": z_var * w_var})
-    R_tV = _r21(solve_R(Wt, V).matrix, Wt.dim, V.dim).substitute({"z": z_var * w_var})
+    R_tV = permute(solve_R(Wt, V).matrix.substitute({"z": z_var * w_var}),
+                   swap(Wt.dim, V.dim))
     R_VW = solve_R(V, W).matrix.substitute({"z": woz})
     Kv = kron(KV.matrix, Mat.identity(W.dim))
     Kw = kron(Mat.identity(V.dim), KW.matrix.substitute({"z": w_var}))
@@ -242,7 +239,7 @@ def verify_standard_re(V: Rep, W: Rep, params: QSPParams,
     R_VW = solve_R(V, W).matrix
     Kv = kron(KV.matrix, Mat.identity(W.dim))
     Kw = kron(Mat.identity(V.dim), KW.matrix.substitute({"z": w_var}))
-    R_21 = _r21(R_WV, W.dim, V.dim)
+    R_21 = permute(R_WV, swap(W.dim, V.dim))
     return check_product(
         [R_21.substitute({"z": woz}), Kw, R_VW.substitute({"z": z_var * w_var}), Kv],
         [Kv, R_21.substitute({"z": z_var * w_var}), Kw, R_VW.substitute({"z": woz})])

@@ -6,6 +6,11 @@ arithmetic, not by dimension. The elimination routines therefore pick pivots
 of smallest total degree to keep intermediate entries small, and the matrix
 product skips structural zeros.
 
+Every linear system is eliminated once, by :class:`SpanBasis`: rank and kernel
+are read off its reduced rows. :func:`rref` is kept for :func:`invert` only.
+Tensor legs are moved by :func:`permute`, which reindexes entries instead of
+multiplying by permutation matrices.
+
 Product identities ``A1 A2 ... = B1 B2 ...`` are decided by
 :func:`product_residual` over common denominators: each factor is cleared to
 polynomial numerators, and only polynomials are multiplied and compared.
@@ -196,12 +201,19 @@ def kron(a: Mat, b: Mat) -> Mat:
     return out
 
 
-def flip(dim_v: int, dim_w: int) -> Mat:
-    """The tensor swap V ⊗ W → W ⊗ V on basis vectors."""
-    out = Mat.zeros(dim_v * dim_w, dim_v * dim_w)
-    for i in range(dim_v):
-        for j in range(dim_w):
-            out.data[j * dim_v + i][i * dim_w + j] = one
+def swap(dim_a: int, dim_b: int) -> list[int]:
+    """Index map of the tensor swap A ⊗ B → B ⊗ A: basis vector
+    ``i * dim_b + j`` of A ⊗ B goes to ``j * dim_a + i`` of B ⊗ A."""
+    return [j * dim_a + i for i in range(dim_a) for j in range(dim_b)]
+
+
+def permute(m: Mat, perm: list[int]) -> Mat:
+    """P·m·P⁻¹ for the permutation matrix with P e_k = e_{perm[k]}: entries
+    are moved (``out[perm[i]][perm[j]] = m[i][j]``), never computed."""
+    out = Mat.zeros(m.nrows)
+    for i, row in enumerate(m.data):
+        for j, x in enumerate(row):
+            out.data[perm[i]][perm[j]] = x
     return out
 
 
@@ -276,22 +288,12 @@ def rref(m: Mat) -> tuple[Mat, list[int]]:
 
 
 def rank(m: Mat) -> int:
-    return len(rref(m)[1])
+    return SpanBasis(m.ncols, m.data).dim
 
 
 def nullspace(m: Mat) -> list[list[Rat]]:
-    """Basis of the right kernel, one vector per free column."""
-    r, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [zero] * m.ncols
-        v[f] = one
-        for i, pc in enumerate(pivots):
-            v[pc] = -r.data[i][f]
-        basis.append(v)
-    return basis
+    """Basis of the right kernel, scaled as by :meth:`SpanBasis.nullspace`."""
+    return SpanBasis(m.ncols, m.data).nullspace()
 
 
 def invert(m: Mat) -> Mat:
@@ -312,10 +314,12 @@ class SpanBasis:
     closures: feed vectors, the basis keeps only the independent content.
     """
 
-    def __init__(self, ncols: int):
+    def __init__(self, ncols: int, vecs=()):
         self.ncols = ncols
         self.rows: list[list[Rat]] = []
         self.pivots: list[int] = []
+        for vec in vecs:
+            self.add(vec)
 
     @property
     def dim(self) -> int:
@@ -352,12 +356,25 @@ class SpanBasis:
         return True
 
     def nullspace(self) -> list[list[Rat]]:
-        """Kernel of the matrix whose rows are the stored vectors."""
-        if not self.rows:
-            return [[one if i == j else zero for i in range(self.ncols)]
-                    for j in range(self.ncols)]
-        order = sorted(range(len(self.rows)), key=lambda i: self.pivots[i])
-        return nullspace(Mat([self.rows[i] for i in order]))
+        """Kernel of the matrix whose rows are the stored vectors, read off
+        the reduced rows: each non-pivot column f gives ``v[f] = 1`` and
+        ``v[pivot_i] = -row_i[f]``. Each vector is scaled to 1 at its last
+        nonzero entry, so a one-dimensional kernel is the vector of the
+        reduced row echelon form, whatever order the rows arrived in."""
+        pivots, basis = set(self.pivots), []
+        for f in range(self.ncols):
+            if f in pivots:
+                continue
+            v = [zero] * self.ncols
+            v[f] = one
+            for row, pc in zip(self.rows, self.pivots):
+                v[pc] = -row[f]
+            last = max(c for c, x in enumerate(v) if not x.is_zero())
+            if last != f:
+                inv = v[last].inv()
+                v = [x * inv if not x.is_zero() else x for x in v]
+            basis.append(v)
+        return basis
 
 
 def intertwiner_kernel(pairs: list[tuple[Mat, Mat]],

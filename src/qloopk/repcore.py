@@ -53,7 +53,7 @@ class Rep:
         """The equivalent module with action x ↦ C x C^{-1}.
 
         Requires C to permute-and-scale weight vectors so that the diagonal
-        weight bookkeeping stays valid; this is checked.
+        weight bookkeeping stays valid; a non-diagonal C K_i C^{-1} raises.
         """
         from .linalg import invert
         Ci = invert(C)
@@ -62,6 +62,9 @@ class Rep:
             return C @ m @ Ci
 
         newK = {i: conj(self.K[i]) for i in self.cartan.nodes}
+        for i, m in newK.items():
+            if m != Mat.diagonal([m[k, k] for k in range(self.dim)]):
+                raise RepError(f"conjugated K_{i} is not diagonal")
         weights = _weights_from_K(self.cartan, newK, self.dim)
         return Rep(self.cartan, self.dim,
                    {i: conj(self.E[i]) for i in self.cartan.nodes},

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Mat, flip, intertwiner_kernel, product_residual, rank
+from .linalg import (Mat, intertwiner_kernel, kron, permute, product_residual,
+                     rank, swap)
 from .repcore import Rep, coproduct
 from .scalars import PoleAtPoint, Rat, z as z_var
 
@@ -91,43 +92,6 @@ def solve_R(v: Rep, w: Rep) -> RMatrixResult:
     return RMatrixResult(R.scale(scalar), 1, hw, scalar)
 
 
-def _embed(mat: Mat, dims, slots) -> Mat:
-    """Embed an operator acting on the tensor factors listed in ``slots``
-    (in that order) into the full 3-fold tensor product."""
-    n = dims[0] * dims[1] * dims[2]
-    out = Mat.zeros(n)
-
-    def split(idx):
-        c = idx % dims[2]
-        b = (idx // dims[2]) % dims[1]
-        a = idx // (dims[1] * dims[2])
-        return [a, b, c]
-
-    def join(t):
-        return (t[0] * dims[1] + t[1]) * dims[2] + t[2]
-
-    sub = [dims[s] for s in slots]
-    other = [s for s in range(3) if s not in slots]
-    for row in range(n):
-        tr = split(row)
-        ridx = 0
-        for s in slots:
-            ridx = ridx * dims[s] + tr[s]
-        for cidx in range(sub[0] * sub[1] if len(sub) == 2 else sub[0]):
-            val = mat[ridx, cidx]
-            if val.is_zero():
-                continue
-            tc = tr[:]
-            rem = cidx
-            for s in reversed(slots):
-                tc[s] = rem % dims[s]
-                rem //= dims[s]
-            for o in other:
-                tc[o] = tr[o]
-            out.data[row][join(tc)] = val
-    return out
-
-
 @dataclass(frozen=True)
 class CheckReport:
     ok: bool
@@ -155,6 +119,13 @@ def _first_nonzero(m: Mat):
     return None
 
 
+def _r13(Ruw: Mat, du: int, dv: int, dw: int) -> Mat:
+    """R_UW on the first and last legs of U ⊗ V ⊗ W: R_UW ⊗ 1 on U ⊗ W ⊗ V,
+    with the last two legs swapped."""
+    legs = [a * dv * dw + k for a in range(du) for k in swap(dw, dv)]
+    return permute(kron(Ruw, Mat.identity(dv)), legs)
+
+
 def verify_YBE(u: Rep, v: Rep, w: Rep,
                Ruv: Mat | None = None, Ruw: Mat | None = None,
                Rvw: Mat | None = None) -> CheckReport:
@@ -164,10 +135,9 @@ def verify_YBE(u: Rep, v: Rep, w: Rep,
     Ruv = Ruv if Ruv is not None else solve_R(u, v).matrix
     Ruw = Ruw if Ruw is not None else solve_R(u, w).matrix
     Rvw = Rvw if Rvw is not None else solve_R(v, w).matrix
-    dims = (u.dim, v.dim, w.dim)
-    R12 = _embed(Ruv, dims, (0, 1))
-    R13 = _embed(Ruw.substitute({"z": z_var * w_var}), dims, (0, 2))
-    R23 = _embed(Rvw.substitute({"z": w_var}), dims, (1, 2))
+    R12 = kron(Ruv, Mat.identity(w.dim))
+    R13 = _r13(Ruw.substitute({"z": z_var * w_var}), u.dim, v.dim, w.dim)
+    R23 = kron(Mat.identity(u.dim), Rvw.substitute({"z": w_var}))
     return check_product([R12, R13, R23], [R23, R13, R12])
 
 
@@ -176,9 +146,8 @@ def verify_R_unitarity(v: Rep, w: Rep,
     """R_VW(z)^{-1} = (1 2) ∘ R_WV(1/z) ∘ (1 2), checked without inversion."""
     Rvw = Rvw if Rvw is not None else solve_R(v, w).matrix
     Rwv = Rwv if Rwv is not None else solve_R(w, v).matrix
-    Pvw = flip(v.dim, w.dim)   # V ⊗ W -> W ⊗ V
-    Pwv = flip(w.dim, v.dim)
-    return check_product([Pwv, Rwv.substitute({"z": z_var.inv()}), Pvw, Rvw], [])
+    R21 = permute(Rwv.substitute({"z": z_var.inv()}), swap(w.dim, v.dim))
+    return check_product([R21, Rvw], [])
 
 
 def detect_degeneration(v: Rep, w: Rep, point: dict,

@@ -143,6 +143,11 @@ class TestTwists:
             assert rt.target.F[i] == V.F[i]
             assert rt.target.K[i] == V.K[i]
 
+    def test_auxiliary_rejects_wrong_Y(self, fund, d1):
+        # tau(0) = 0 on d1, so the auxiliary gauge needs Y = (1,)
+        with pytest.raises(GaugeInvalid, match="nodes minus"):
+            realize_twist(fund, TwistSpec(d1, "auxiliary", Y=()))
+
     def test_auxiliary_inverts_evaluation_point(self, fund, a, d1):
         rt = realize_twist(fund, TwistSpec(d1, "auxiliary", Y=(1,)))
         mirror = build_eval_rep_sl2(1, a.inv())

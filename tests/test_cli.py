@@ -25,6 +25,10 @@ class TestUsageErrors:
         ("rep", "build", "--rep", "eval-sl2:1:0"),
         ("kmatrix", "compute", "--vars", "a=0"),
         ("kmatrix", "compute", "--vars", "g0=0"),
+        ("kmatrix", "compute", "--vars", "z=1"),
+        ("rmatrix", "compute", "--rep", "eval-sl2:1:a",
+         "--rep", "eval-sl2:1:b", "--vars", "p=2"),
+        ("rep", "build", "--rep", "eval-sl2:1:a", "--vars", "w=3"),
         ("rmatrix", "degeneration", "--rep", "eval-sl2:1:a",
          "--rep", "eval-sl2:1:b", "--at", "q=1"),
         ("rep", "check", "--rep", "eval-sl2:1:a", "--rep", "eval-vector:3:b"),

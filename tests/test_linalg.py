@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qloopk.linalg import (LinalgError, Mat, ShapeMismatch, SpanBasis,
-                           algebra_closure, flip, invert, kron, nullspace,
-                           product_residual, rank, rref)
+                           algebra_closure, invert, kron, nullspace, permute,
+                           product_residual, rank, rref, swap)
 from qloopk.scalars import Rat, one, q, z, zero
 
 
@@ -59,13 +59,19 @@ class TestKronFlip:
     def test_flip_conjugates_kron(self):
         a = Mat([[one, q], [zero, one]])
         b = Mat([[z, zero], [one, one]])
-        P, Pinv = flip(2, 2), flip(2, 2)
-        assert P @ kron(a, b) @ Pinv == kron(b, a)
+        assert permute(kron(a, b), swap(2, 2)) == kron(b, a)
 
     def test_flip_rectangular(self):
-        P = flip(2, 3)
-        assert P.shape() == (6, 6)
-        assert flip(3, 2) @ P == Mat.identity(6)
+        a = Mat([[one, q], [zero, z]])
+        b = Mat([[z, zero, q], [one, one, zero], [zero, q, Rat(2)]])
+        m = kron(a, b)
+        assert permute(m, swap(2, 3)) == kron(b, a)
+        assert permute(permute(m, swap(2, 3)), swap(3, 2)) == m
+        # permute is conjugation by the permutation matrix P e_k = e_{perm[k]}
+        P = Mat.zeros(6)
+        for k, target in enumerate(swap(2, 3)):
+            P.data[target][k] = one
+        assert permute(m, swap(2, 3)) == P @ m @ P.transpose()
 
 
 class TestSolvers:
@@ -108,6 +114,42 @@ class TestSpanBasis:
         assert len(ker) == 1
         v = ker[0]
         assert (v[0] + v[1]).is_zero() and (v[1] + v[2]).is_zero()
+
+
+_INT = st.integers(min_value=-3, max_value=3)
+_KERNEL_CELL = st.one_of(
+    st.just(zero), _INT.map(Rat),
+    st.tuples(_INT, _INT, _INT).map(
+        lambda t: (Rat(t[0]) + Rat(t[1]) * z) / (Rat(t[2]) + z)))
+
+
+@given(ncols=st.integers(1, 5), dependent=st.booleans(), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_nullspace_matches_rref(ncols, dependent, data):
+    """The kernel read off SpanBasis has the dimension rref gives, lies in
+    the kernel, is 1 at each vector's last nonzero entry, and a line equals
+    the vector read off the reduced row echelon form."""
+    nrows = data.draw(st.integers(1, ncols))
+    rows = data.draw(st.lists(st.lists(_KERNEL_CELL, min_size=ncols, max_size=ncols),
+                              min_size=nrows, max_size=nrows))
+    if dependent:
+        c = data.draw(_KERNEL_CELL)
+        rows.append([c * x + y for x, y in zip(rows[0], rows[-1])])
+    m = Mat(rows)
+    ker = nullspace(m)
+    r, pivots = rref(m)
+    assert rank(m) == len(pivots)
+    assert len(ker) == ncols - len(pivots)
+    for v in ker:
+        assert all(x.is_zero() for x in m.mul_vec(v))
+        assert [x for x in v if not x.is_zero()][-1].is_one()
+    if len(ker) == 1:
+        (f,) = [col for col in range(ncols) if col not in pivots]
+        expected = [zero] * ncols
+        expected[f] = one
+        for i, pc in enumerate(pivots):
+            expected[pc] = -r[i, f]
+        assert ker[0] == expected
 
 
 class TestClosure:

@@ -103,5 +103,11 @@ class TestStructure:
         assert flipped.weights[0] == fund.weights[1]
         assert verify_relations(flipped).ok
 
+    def test_conjugated_rejects_nondiagonal_K(self, fund):
+        # C = [[1, 1], [0, 1]] mixes the two weight vectors: C K_1 C^-1 has
+        # the off-diagonal entry (1 - q^2)/q
+        with pytest.raises(RepError, match="not diagonal"):
+            fund.conjugated(Mat([[one, one], [zero, one]]))
+
     def test_kinv(self, fund):
         assert fund.K[1] @ fund.Kinv(1) == Mat.identity(2)

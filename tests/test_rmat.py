@@ -1,8 +1,8 @@
 import pytest
 
 from qloopk.linalg import Mat, kron
-from qloopk.repcore import build_vector_rep_slN_eval, coproduct
-from qloopk.rmat import (KernelDimension, detect_degeneration, solve_R,
+from qloopk.repcore import build_eval_rep_sl2, build_vector_rep_slN_eval, coproduct
+from qloopk.rmat import (KernelDimension, _r13, detect_degeneration, solve_R,
                          verify_R_unitarity, verify_YBE)
 from qloopk.scalars import Rat, const, one, parse, q, z
 
@@ -47,7 +47,6 @@ class TestSolve:
 
 class TestYBE:
     def test_sl2_exact(self, a, b):
-        from qloopk.repcore import build_eval_rep_sl2
         c = const("c")
         U = build_eval_rep_sl2(1, a)
         V = build_eval_rep_sl2(1, b)
@@ -55,8 +54,28 @@ class TestYBE:
         report = verify_YBE(U, V, W)
         assert report.ok, report.detail
 
+    def test_mixed_dimensions(self, a, b):
+        # spin 1/2 ⊗ spin 1 ⊗ spin 1/2: a wrong leg placement shows here,
+        # where it would not on three equal factors
+        c = const("c")
+        U, V, W = (build_eval_rep_sl2(1, a), build_eval_rep_sl2(2, b),
+                   build_eval_rep_sl2(1, c))
+        report = verify_YBE(U, V, W)
+        assert report.ok, report.detail
+
+    def test_r13_on_basis_indices(self):
+        # R13[(a,b,c), (a',b',c')] = R[(a,c), (a',c')] δ_{b b'} on 2 ⊗ 3 ⊗ 2
+        du, dv, dw = 2, 3, 2
+        R = Mat([[Rat(10 * i + j + 1) for j in range(du * dw)]
+                 for i in range(du * dw)])
+        R13 = _r13(R, du, dv, dw)
+        legs = [(a, b, c) for a in range(du) for b in range(dv) for c in range(dw)]
+        for i, (a, b, c) in enumerate(legs):
+            for j, (a2, b2, c2) in enumerate(legs):
+                expected = R[a * dw + c, a2 * dw + c2] if b == b2 else Rat(0)
+                assert R13[i, j] == expected
+
     def test_detects_corruption(self, fund, fund_b, a, R_fund):
-        from qloopk.repcore import build_eval_rep_sl2
         c = const("c")
         W = build_eval_rep_sl2(1, c)
         bad = Mat([row[:] for row in R_fund.matrix.data])
@@ -69,6 +88,10 @@ class TestYBE:
 class TestUnitarity:
     def test_sl2_pair(self, fund, fund_b):
         report = verify_R_unitarity(fund, fund_b)
+        assert report.ok, report.detail
+
+    def test_mixed_dimensions(self, a, b):
+        report = verify_R_unitarity(build_eval_rep_sl2(1, a), build_eval_rep_sl2(2, b))
         assert report.ok, report.detail
 
     def test_detects_scaling(self, fund, fund_b, R_fund):
