@@ -44,19 +44,20 @@ def _parse_value(s: str) -> Rat:
 def _parse_vars(s: str | None) -> dict:
     """``--vars`` names constants only: p, z and w are never substituted
     into a computed matrix, so naming them is a usage error."""
-    out = _parse_point(s)
+    out = _parse_point(s, "--vars")
     if out.keys() & {"p", "z", "w"}:
         raise UsageError("--vars takes named constants only, not p, z or w")
     return out
 
 
-def _parse_point(s: str | None) -> dict:
+def _parse_point(s: str | None, option: str) -> dict:
+    """``name=value,...`` as given to ``option``."""
     out = {}
     if not s:
         return out
     for chunk in s.split(","):
         if "=" not in chunk:
-            raise UsageError(f"bad --vars entry {chunk!r}, expected name=value")
+            raise UsageError(f"bad {option} entry {chunk!r}, expected name=value")
         k, v = chunk.split("=", 1)
         if k.strip() == "q":
             raise UsageError("substitute p, not q")
@@ -271,10 +272,15 @@ def _cmd_rmatrix(args) -> tuple[int, dict]:
         return _report_exit(report.ok), {"unitarity": report.to_json()}
     if args.action == "degeneration":
         V, W = _reps_from_args(args, vars, 2)
-        point = _parse_point(args.at)
+        point = _parse_point(args.at, "--at")
         if not point:
             raise UsageError("degeneration needs --at name=value,...")
-        kind = detect_degeneration(V, W, {k: v for k, v in point.items()})
+        R = solve_R(V, W).matrix
+        names = set().union(*(x.names() for row in R.data for x in row))
+        if unused := sorted(point.keys() - names):
+            raise UsageError(f"--at names {', '.join(unused)}, "
+                             "on which R does not depend")
+        kind = detect_degeneration(V, W, point, R)
         return 0, {"degeneration": {"at": {k: str(v) for k, v in point.items()},
                                     "kind": kind}}
     raise UsageError(f"unknown rmatrix action {args.action!r}")

@@ -228,15 +228,17 @@ def verify_standard_re(V: Rep, W: Rep, params: QSPParams,
         return CheckReport(False, "tau differs from the auxiliary automorphism; "
                                   "only the diagrammatic equation holds")
     twist = TwistSpec(diagram, "auxiliary", Y=y0.X)
+    # equal modules have equal K- and R-matrices: solve once
+    same = W.same_action(V) and W.weights == V.weights
     KV = solve_K(V, twist, shift, params)
-    KW = solve_K(W, twist, shift, params)
+    KW = KV if same else solve_K(W, twist, shift, params)
     for T, name in ((KV.realized, "V"), (KW.realized, "W")):
         if not T.target.same_action(T.source):
             return CheckReport(False, f"twist does not fix {name}; "
                                       "standard form unavailable")
     woz = (w_var / z_var)
-    R_WV = solve_R(W, V).matrix
     R_VW = solve_R(V, W).matrix
+    R_WV = R_VW if same else solve_R(W, V).matrix
     Kv = kron(KV.matrix, Mat.identity(W.dim))
     Kw = kron(Mat.identity(V.dim), KW.matrix.substitute({"z": w_var}))
     R_21 = permute(R_WV, swap(W.dim, V.dim))

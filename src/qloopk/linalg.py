@@ -12,11 +12,18 @@ Tensor legs are moved by :func:`permute`, which reindexes entries instead of
 multiplying by permutation matrices.
 
 Product identities ``A1 A2 ... = B1 B2 ...`` are decided by
-:func:`product_residual` over common denominators: each factor is cleared to
-polynomial numerators, and only polynomials are multiplied and compared.
+:func:`product_residual` over common denominators: each distinct factor is
+cleared once to polynomial numerators, and only polynomials are multiplied
+and compared. A side's denominator stays a list of per-factor lcms, and lcms
+equal on both sides cancel: both sides of a Yang-Baxter or reflection
+equation multiply the same factors (or R and its flip R_21, which share an
+lcm) in another order, so their cleared products are compared directly, and
+only the first differing entry, if any, is divided out.
 """
 
 from __future__ import annotations
+
+import math
 
 from .scalars import Rat, clear_denominators, one, zero
 
@@ -193,11 +200,14 @@ def kron(a: Mat, b: Mat) -> Mat:
             x = a.data[i][j]
             if x.is_zero():
                 continue
+            x_one = x.is_one()
             for k in range(b.nrows):
                 for l in range(b.ncols):
                     y = b.data[k][l]
                     if not y.is_zero():
-                        out.data[i * b.nrows + k][j * b.ncols + l] = x * y
+                        # an identity leg copies the other factor's entries
+                        out.data[i * b.nrows + k][j * b.ncols + l] = (
+                            y if x_one else x if y.is_one() else x * y)
     return out
 
 
@@ -220,36 +230,55 @@ def permute(m: Mat, perm: list[int]) -> Mat:
 def product_residual(lhs: list[Mat], rhs: list[Mat]):
     """Decide ``prod(lhs) == prod(rhs)`` exactly; an empty side is the identity.
 
-    Each factor is cleared to polynomial numerators over the lcm of its entry
-    denominators, and the numerator matrices are multiplied with no gcd. With
-    the products written L/dl and R/dr, ``L*dr == R*dl`` entrywise is a
-    polynomial identity that holds exactly when the two products are equal.
-    Returns None then, and otherwise ``(i, j, value)`` for the first nonzero
-    entry of ``prod(lhs) - prod(rhs)`` in row-major order.
+    Each distinct factor is cleared once to polynomial numerators over the lcm
+    of its entry denominators, and the numerator matrices are multiplied with
+    no gcd. With the products written L/dl and R/dr, each side's denominator
+    is kept as its list of per-factor lcms; factors equal on both sides
+    (compared as polynomials) cancel, leaving L*dr' == R*dl' over the
+    leftovers, a plain ``L == R`` when nothing is left. Returns None when the
+    products are equal, and otherwise ``(i, j, value)`` for the first nonzero
+    entry of ``prod(lhs) - prod(rhs)`` in row-major order; only that entry is
+    divided out.
     """
     if not lhs and not rhs:
         raise LinalgError("no factors")
     n = (lhs or rhs)[0].nrows
-    (L, dl), (R, dr) = (_cleared_product(side or [Mat.identity(n)])
+    cleared: dict[int, tuple[Mat, Rat]] = {}
+    (L, dl), (R, dr) = (_cleared_product(side or [Mat.identity(n)], cleared)
                         for side in (lhs, rhs))
     if L.shape() != R.shape():
         raise ShapeMismatch("product_residual: shapes differ")
+    shared = []
+    for d in dl[:]:
+        if d in dr:
+            dl.remove(d)
+            dr.remove(d)
+            shared.append(d)
+    dl, dr = (math.prod(ds, start=one) for ds in (dl, dr))
     for i, (lrow, rrow) in enumerate(zip(L.data, R.data)):
         for j, (x, y) in enumerate(zip(lrow, rrow)):
-            t = x * dr - y * dl
-            if not t.is_zero():
-                return i, j, t / (dl * dr)
+            x = x if dr.is_one() else x * dr
+            y = y if dl.is_one() else y * dl
+            if x != y:
+                return i, j, (x - y) / math.prod(shared, start=dl * dr)
     return None
 
 
-def _cleared_product(factors: list[Mat]) -> tuple[Mat, Rat]:
-    """``(N, d)`` with polynomial entries such that ``prod(factors) == N / d``."""
-    num, den = None, one
+def _cleared_product(factors: list[Mat], cleared: dict) -> tuple[Mat, list[Rat]]:
+    """``(N, dens)`` with polynomial entries such that ``prod(factors)`` is
+    N over the product of ``dens``, one lcm per factor that has a nontrivial
+    one. ``cleared`` caches each factor's clearing by identity."""
+    num, dens = None, []
     for m in factors:
-        values, d = clear_denominators(x for row in m.data for x in row)
-        cleared = Mat([values[i * m.ncols:(i + 1) * m.ncols] for i in range(m.nrows)])
-        num, den = (cleared if num is None else num @ cleared), den * d
-    return num, den
+        if id(m) not in cleared:
+            values, d = clear_denominators(x for row in m.data for x in row)
+            cleared[id(m)] = (Mat([values[i * m.ncols:(i + 1) * m.ncols]
+                                   for i in range(m.nrows)]), d)
+        c, d = cleared[id(m)]
+        num = c if num is None else num @ c
+        if not d.is_one():
+            dens.append(d)
+    return num, dens
 
 
 def rref(m: Mat) -> tuple[Mat, list[int]]:

@@ -23,6 +23,15 @@ results are exactly the canonical forms the field itself would give.
 :func:`clear_denominators` puts values over one common denominator, so that
 products of many values can be formed in the polynomial ring, without gcds.
 
+:meth:`Rat.substitute` sends one generator to a Laurent monomial with
+coefficient 1 (the spectral maps z ↦ w/z, z·w, w, 1/z, z^M) by remapping
+exponents, without a gcd, when the value does not depend on the monomial's
+other generators: the map is then injective on exponents and keeps numerator
+and denominator coprime up to a monomial, which is divided out (see
+:func:`_monomial_map`). Every other substitution, including z ↦ 1 and any
+evaluation at a number, clears the values' denominators and reduces with the
+field's gcd.
+
 :func:`parse` reads text by recursive descent, never by ``eval``::
 
     expr     := term (("+" | "-") term)*
@@ -303,6 +312,10 @@ class Rat:
         if not vals:
             return self
         f = _frac(self)
+        if len(vals) == 1:
+            mapped = _monomial_map(f, *next(iter(vals.items())))
+            if mapped is not None:
+                return Rat(mapped)
         # clear the values' denominators to a common power in both parts
         d = {i: max(e[i] for poly in (f.numer, f.denom) for e in poly.itermonoms())
              for i in vals}
@@ -380,6 +393,40 @@ def _cleared(poly, vals: dict, d: dict):
             t *= (v.numer ** e[i] if e[i] else 1) * v.denom ** (d[i] - e[i])
         out += t
     return out
+
+
+def _monomial_map(f: FracElement, i: int, v: FracElement) -> FracElement | None:
+    """``f`` with generator ``i`` sent to ``v``, by remapping exponents, when
+    ``v`` is a Laurent monomial with coefficient 1 other than 1 itself and
+    ``f`` does not depend on the other generators of ``v``; None otherwise.
+
+    The result needs no gcd. Let K be the field of the generators other
+    than x_i and those of ``v``. The coprime numerator and denominator of
+    ``f`` satisfy a Bezout identity in K[x_i^±1]; x_i ↦ v is an injective
+    K-algebra map, so the identity carries over, and the images share no
+    factor except monomials in x_i and the generators of ``v`` and elements
+    of K. Distinct x_i-exponents stay distinct monomials, so a common factor
+    from K would divide every coefficient of ``f``'s numerator and
+    denominator alike, which are coprime. The remaining monomial is divided
+    out by moving both to their lowest common monomial.
+    """
+    if len(v.numer) != 1 or len(v.denom) != 1:
+        return None
+    (top, c), = v.numer.items()
+    (bottom, d), = v.denom.items()
+    e = tuple(a - b for a, b in zip(top, bottom))
+    others = [j for j, k in enumerate(e) if k and j != i]
+    if c != 1 or d != 1 or not any(e) or any(
+            m[j] for poly in (f.numer, f.denom) for m in poly.itermonoms()
+            for j in others):
+        return None
+    parts = [[(tuple((0 if j == i else a) + m[i] * b
+                     for j, (a, b) in enumerate(zip(m, e))), coeff)
+              for m, coeff in poly.iterterms()] for poly in (f.numer, f.denom)]
+    low = tuple(map(min, zip(*(m for part in parts for m, _ in part))))
+    numer, denom = (f.numer.new({tuple(a - b for a, b in zip(m, low)): coeff
+                                 for m, coeff in part}) for part in parts)
+    return _reduced(f, numer, denom)
 
 
 def _poly_str(poly, content) -> str:

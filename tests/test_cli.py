@@ -31,6 +31,8 @@ class TestUsageErrors:
         ("rep", "build", "--rep", "eval-sl2:1:a", "--vars", "w=3"),
         ("rmatrix", "degeneration", "--rep", "eval-sl2:1:a",
          "--rep", "eval-sl2:1:b", "--at", "q=1"),
+        ("rmatrix", "degeneration", "--rep", "eval-sl2:1:a",
+         "--rep", "eval-sl2:1:b", "--at", "c=1"),
         ("rep", "check", "--rep", "eval-sl2:1:a", "--rep", "eval-vector:3:b"),
         ("rmatrix", "compute", "--rep", "eval-sl2:1:a",
          "--rep", "eval-vector:3:b"),
@@ -40,6 +42,14 @@ class TestUsageErrors:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith("usage error: ")
+
+
+    @pytest.mark.parametrize("option", ["--vars", "--at"])
+    def test_names_the_option(self, capsys, option):
+        assert main(["rmatrix", "degeneration", "--rep", "eval-sl2:1:a",
+                     "--rep", "eval-sl2:1:b", option, "foo"]) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: bad {option} entry 'foo', expected name=value\n")
 
 
 class TestDiagramValidation:

@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 from qloopk.braid import GaugeInvalid, TwistSpec
+from qloopk.cli import Scenario, _load_scenario
 from qloopk.kmat import (AmbiguousNormalization, KernelDimension, KmatError,
                          NotRestrictable, check_intertwining, convert_grading,
                          gauge_matrix, qsp_generators, solve_K,
@@ -128,6 +129,34 @@ class TestStandardRE:
         rep = verify_standard_re(V, W, o["params"], o["shift"])
         assert rep.ok, rep.detail
 
+    def test_equal_modules_solved_once(self, onsager, monkeypatch):
+        # V = W reuses K_V and R_VW; the report is the one two separately
+        # built equal modules give, and an unequal pair still solves twice
+        from qloopk import kmat
+        o = onsager
+        V = build_eval_rep_sl2(1, one)
+        expected = verify_standard_re(V, build_eval_rep_sl2(1, one),
+                                      o["params"], o["shift"])
+        calls = []
+
+        def counted(name):
+            solve = getattr(kmat, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return solve(*args, **kwargs)
+            return wrapper
+
+        for name in ("solve_K", "solve_R"):
+            monkeypatch.setattr(kmat, name, counted(name))
+        assert verify_standard_re(V, V, o["params"], o["shift"]) == expected
+        assert sorted(calls) == ["solve_K", "solve_R"]
+        calls.clear()
+        rep = verify_standard_re(V, build_eval_rep_sl2(2, one),
+                                 o["params"], o["shift"])
+        assert rep.ok, rep.detail
+        assert sorted(calls) == ["solve_K", "solve_K", "solve_R", "solve_R"]
+
     def test_not_restrictable(self, onsager):
         d = SatakeDiagram(affine_A(2), (), (1, 0, 2))
         params = QSPParams(d, {i: one for i in range(3)},
@@ -144,6 +173,22 @@ class TestStandardRE:
         rep = verify_standard_re(fund, fund, o["params"], o["shift"])
         assert not rep.ok
         assert rep.detail == "twist does not fix V; standard form unavailable"
+
+
+class TestSpin1Scenario:
+    """The shipped spin-1 scenario, as ``kmatrix verify-gre`` and
+    ``kmatrix verify-re`` build it."""
+
+    def test_gre(self):
+        sc = Scenario(_load_scenario("qonsager-sl2-spin1"), {})
+        rep = verify_gre(sc.reps["V"], sc.reps["W"], sc.twist, sc.shift,
+                         sc.params)
+        assert rep.ok, rep.detail
+
+    def test_standard_re(self):
+        sc = Scenario.stage(_load_scenario("qonsager-sl2-spin1"), "verify-re", {})
+        rep = verify_standard_re(sc.reps["V"], sc.reps["W"], sc.params, sc.shift)
+        assert rep.ok, rep.detail
 
 
 class TestUnitarity:

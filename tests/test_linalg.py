@@ -51,6 +51,17 @@ class TestKronFlip:
         a, b = Mat.identity(2), Mat.identity(3)
         assert kron(a, b).shape() == (6, 6)
 
+    def test_identity_leg_copies_entries(self):
+        m = Mat([[q / z, one], [zero, z - q]])
+        left, right = kron(Mat.identity(2), m), kron(m, Mat.identity(2))
+        for i in range(4):
+            for j in range(4):
+                a, b, c, d = i // 2, i % 2, j // 2, j % 2
+                assert left[i, j] == (m[b, d] if a == c else zero)
+                assert right[i, j] == (m[a, c] if b == d else zero)
+        # the other factor's entries are stored, not multiplied by one
+        assert left[2, 2] is m[0, 0] and right[3, 3] is m[1, 1]
+
     @given(a=small_mat(2), b=small_mat(2))
     @settings(max_examples=20, deadline=None)
     def test_kron_multiplicative(self, a, b):
@@ -199,13 +210,16 @@ def _first_difference(a, b):
     return None
 
 
-@given(n=st.integers(1, 3), mode=st.sampled_from(["random", "equal", "mismatch", "zero"]),
+@given(n=st.integers(1, 3),
+       mode=st.sampled_from(["random", "equal", "mismatch", "zero", "permuted",
+                             "intertwine"]),
        data=st.data())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_product_residual_matches_mat_products(n, mode, data):
     """None exactly when the Mat products agree; otherwise the first entry
-    of their difference. Covers empty (identity) sides, a zero factor and a
-    one-entry mismatch."""
+    of their difference. Covers empty (identity) sides, a zero factor, a
+    one-entry mismatch, sides that share factors in permuted order, and
+    ``[K, L]`` against ``[R, K]``, where K's denominator cancels."""
     lhs = data.draw(st.lists(_square(n), max_size=3))
     if mode == "zero":
         lhs = lhs + [Mat.zeros(n)]
@@ -217,6 +231,16 @@ def test_product_residual_matches_mat_products(n, mode, data):
         i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
         bad.data[i][j] = bad.data[i][j] + data.draw(st.sampled_from(_ENTRIES[1:]))
         rhs = [bad]
+    elif mode == "permuted":
+        rhs = data.draw(st.permutations(lhs))
+    elif mode == "intertwine":
+        K, A = data.draw(_square(n)), data.draw(_square(n))
+        try:
+            B = K @ A @ invert(K) if data.draw(st.booleans()) else data.draw(_square(n))
+        except LinalgError:
+            B = data.draw(_square(n))
+        lhs, rhs = [K, A], [B, K]
+        L = _product(lhs, n)
     else:
         rhs = data.draw(st.lists(_square(n), max_size=2))
     if not lhs and not rhs:

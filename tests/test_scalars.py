@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qloopk import scalars
@@ -307,3 +307,71 @@ def test_clear_denominators():
     assert den.den() == one.den()
     assert [n.den() for n in nums] == [one.den()] * len(values)
     assert [n / den for n in nums] == values
+
+
+# -- substitution of a Laurent monomial: exponent remapping, no gcd ----------
+
+_MONOMIALS = {"w/z": w / z, "z*w": z * w, "w": w, "1/z": z.inv(), "z^2": z ** 2,
+              "z^3": z ** 3, "q*z": q * z}
+_laurent_term = st.tuples(st.integers(-3, 3).filter(bool), st.integers(0, 1),
+                          st.integers(0, 1), st.integers(-1, 2), st.integers(0, 2))
+_laurent = st.lists(_laurent_term, min_size=1, max_size=3)
+
+
+def _from_terms(terms, with_w):
+    """Sum of c * p^i * a^j * z^k, times w^l too when ``with_w``."""
+    a = const("a")
+    return sum((Rat(c) * p ** i * a ** j * z ** k * (w ** l if with_w else one)
+                for c, i, j, k, l in terms), zero)
+
+
+def _general_substitute(x, name, value):
+    """``x`` at ``name = value`` by the general path: clear the value's
+    denominator to a common power, then reduce with the field's gcd."""
+    f, v, i = scalars._frac(x), scalars._frac(value), scalars._index[name]
+    d = {i: max(e[i] for poly in (f.numer, f.denom) for e in poly.itermonoms())}
+    return scalars._field.new(scalars._cleared(f.numer, {i: v}, d),
+                              scalars._cleared(f.denom, {i: v}, d))
+
+
+@given(terms=st.tuples(_laurent, _laurent, st.booleans(), st.booleans()),
+       simple=st.one_of(st.none(), st.just(zero), rational_strategy()),
+       image=st.sampled_from(sorted(_MONOMIALS)))
+# z - w at z = w is 0; remapping exponents would merge z and w into one term
+@example(terms=([(1, 0, 0, 1, 0), (-1, 0, 0, 0, 1)], [(1, 0, 0, 0, 0)], True,
+                False), simple=None, image="w")
+@settings(max_examples=150, deadline=None)
+def test_monomial_substitution_matches_general_path(terms, simple, image):
+    """Sending z to a Laurent monomial gives exactly the numerator and
+    denominator of the general path, on values in Q(p, a, z), on values that
+    also depend on w, on zero and on constants. The remapping is taken
+    exactly when the value does not depend on the image's other generators."""
+    if simple is None:
+        num, den, wn, wd = terms
+        try:
+            x = _from_terms(num, wn) / _from_terms(den, wd)
+        except DivisionByZero:
+            assume(False)
+    else:
+        x = simple
+    m = _MONOMIALS[image]
+    ref = _general_substitute(x, "z", m)
+    mine = x.substitute({"z": m})
+    assert (mine.f.numer, mine.f.denom) == (ref.numer, ref.denom)
+    taken = scalars._monomial_map(scalars._frac(x), scalars._index["z"],
+                                  scalars._frac(m)) is not None
+    assert taken == (not x.names() & (m.names() - {"z"}))
+
+
+@pytest.mark.parametrize("image", ["1", "2*z", "-z", "z + 1", "w/z"])
+def test_non_monomial_images_fall_through(image):
+    # z -> 1 is an evaluation (not injective on exponents), 2*z and -z have
+    # a coefficient other than 1, z + 1 is no monomial, and w/z meets a value
+    # that depends on w; each stays on the general path and agrees with it
+    x = (z * w - q) / (z ** 2 + w)
+    m = parse(image)
+    assert scalars._monomial_map(scalars._frac(x), scalars._index["z"],
+                                 scalars._frac(m)) is None
+    ref = _general_substitute(x, "z", m)
+    mine = x.substitute({"z": m})
+    assert (mine.f.numer, mine.f.denom) == (ref.numer, ref.denom)
