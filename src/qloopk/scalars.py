@@ -23,6 +23,15 @@ results are exactly the canonical forms the field itself would give.
 :func:`clear_denominators` puts values over one common denominator, so that
 products of many values can be formed in the polynomial ring, without gcds.
 
+Arithmetic and :func:`clear_denominators` take every gcd in the ring of
+only the generators its two operands contain (:func:`_cofactors`), and none
+against a denominator 1, where nothing can cancel. sympy's heuristic gcd
+costs a pass per generator of its ring, so a gcd then costs the same however
+many constants are registered. The result is the same polynomial: a gcd
+does not depend on generators neither operand contains, and dropping zero
+exponents keeps the graded-lex order of the others, so sympy fixes its sign
+from the same leading term.
+
 :meth:`Rat.substitute` sends one generator to a Laurent monomial with
 coefficient 1 (the spectral maps z ↦ w/z, z·w, w, 1/z, z^M) by remapping
 exponents, without a gcd, when the value does not depend on the monomial's
@@ -51,6 +60,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import sympy as sp
 from sympy.polys.domains import ZZ
@@ -164,23 +174,82 @@ def _inverse(f: FracElement) -> FracElement:
     return _reduced(f, f.denom, f.numer)
 
 
+@lru_cache(maxsize=256)
+def _compact(ring, used: tuple):
+    """The ring on the generators ``used`` of ``ring``, in ``ring``'s order,
+    with maps of exponent tuples into it and back; ``back`` reads a compact
+    tuple with a 0 appended, which fills the unused positions."""
+    small = ring.clone(symbols=[ring.symbols[i] for i in used])
+    back = operator.itemgetter(*(used.index(j) if j in used else len(used)
+                                 for j in range(ring.ngens)))
+    if len(used) == 1:
+        i, = used
+        return small, lambda m: (m[i],), back
+    return small, operator.itemgetter(*used), back
+
+
+def _cofactors(f, g):
+    """``f.cofactors(g)``: the gcd h and the quotients f/h and g/h, computed
+    in the ring of only the generators that ``f`` or ``g`` contain and
+    returned in ``f``'s ring. Arithmetic and :func:`clear_denominators` take
+    every gcd here.
+
+    sympy's heuristic gcd evaluates, interpolates and trial-divides once per
+    generator of its ring, so a generator that neither operand contains
+    costs as much as one they do. The gcd does not depend on such
+    generators, and dropping their zero exponents keeps the graded-lex order
+    of the others, so sympy fixes the sign from the same leading term and
+    all three results equal the full ring's exactly. (Were the heuristic
+    ever to settle a different sign, h and both cofactors would flip
+    together, which leaves every reduced fraction built from them
+    unchanged.) Monomial operands
+    (sympy's gcd does not recurse on them) and operands that use every
+    generator go straight to ``f.cofactors(g)``.
+    """
+    ring = f.ring
+    if len(f) <= 1 or len(g) <= 1:
+        return f.cofactors(g)
+    used = tuple(i for i, k in enumerate(map(max, zip(*f, *g))) if k)
+    if len(used) == ring.ngens:
+        return f.cofactors(g)
+    small, pick, back = _compact(ring, used)
+    h, cf, cg = (small.dtype({pick(m): c for m, c in f.items()})
+                 .cofactors(small.dtype({pick(m): c for m, c in g.items()})))
+    return tuple(ring.dtype({back(m + (0,)): c for m, c in poly.items()})
+                 for poly in (h, cf, cg))
+
+
+def _lcm(f, g):
+    """``f.lcm(g)``, the lcm sympy gives over ZZ, with its gcd taken by
+    :func:`_cofactors`: the product of the primitive parts divided by their
+    gcd, times the lcm of the contents."""
+    fc, f = f.primitive()
+    gc, g = g.primitive()
+    _, _, cg = _cofactors(f, g)
+    return (f * cg).mul_ground(ZZ.lcm(fc, gc))
+
+
 def _mul(f: FracElement, g: FracElement) -> FracElement:
     """Product of reduced fractions: n1 is coprime to d1 and n2 to d2, so
-    only n1 against d2 and n2 against d1 can cancel."""
+    only n1 against d2 and n2 against d1 can cancel, and nothing cancels
+    against a denominator 1."""
     n1, d1, n2, d2 = f.numer, f.denom, g.numer, g.denom
     if not n1 or not n2:
         return f.field.zero
     if _is_one(d1) and _is_one(d2):
         return f.raw_new(n1 * n2)
-    _, n1, d2 = n1.cofactors(d2)
-    _, n2, d1 = n2.cofactors(d1)
+    if not _is_one(d2):
+        _, n1, d2 = _cofactors(n1, d2)
+    if not _is_one(d1):
+        _, n2, d1 = _cofactors(n2, d1)
     return _reduced(f, n1 * n2, d1 * d2)
 
 
 def _add(f: FracElement, g: FracElement) -> FracElement:
     """Sum of reduced fractions: with h = gcd(d1, d2), the numerator
     t = n1*(d2/h) + n2*(d1/h) is coprime to (d1/h)*(d2/h), so only gcd(t, h)
-    can cancel."""
+    can cancel. With d1 = 1 that leaves nothing to cancel, as
+    gcd(n1*d2 + n2, d2) = gcd(n2, d2) = 1; likewise with d2 = 1."""
     n1, d1, n2, d2 = f.numer, f.denom, g.numer, g.denom
     if not n1:
         return g
@@ -192,13 +261,15 @@ def _add(f: FracElement, g: FracElement) -> FracElement:
             return f.field.zero
         if _is_one(d1):
             return f.raw_new(t)
-        _, t, d = t.cofactors(d1)
+        _, t, d = _cofactors(t, d1)
         return _reduced(f, t, d)
     # unequal reduced denominators cannot give a zero sum
-    h, e1, e2 = d1.cofactors(d2)
+    if _is_one(d1) or _is_one(d2):
+        return _reduced(f, n1 * d2 + n2 * d1, d1 * d2)
+    h, e1, e2 = _cofactors(d1, d2)
     t = n1 * e2 + n2 * e1
     if not _is_one(h):
-        _, t, h = t.cofactors(h)
+        _, t, h = _cofactors(t, h)
     return _reduced(f, t, h * e1 * e2)
 
 
@@ -262,12 +333,17 @@ class Rat:
     def __eq__(self, other) -> bool:
         try:
             g = _frac(other)
-        except TypeError:
+        except (TypeError, ParseError):
             return NotImplemented
         return _frac(self) == g
 
     def __hash__(self):
-        # the printed form is canonical and independent of registrations
+        # a rational number hashes like the int or Fraction it equals; any
+        # other value by its printed form, which is canonical and independent
+        # of registrations
+        f = self.f
+        if f.numer.is_ground and f.denom.is_ground:
+            return hash(Fraction(int(f.numer.LC), int(f.denom.LC)))
         return hash(str(self))
 
     def __bool__(self):
@@ -373,7 +449,7 @@ def clear_denominators(values) -> tuple[list[Rat], Rat]:
     den = _field.ring.one
     for d in distinct:
         if not _is_one(d) and d != den:
-            den = d if _is_one(den) else den.lcm(d)
+            den = d if _is_one(den) else _lcm(den, d)
     quo = {d: den.exquo(d) for d in distinct}
     return ([Rat(_field.raw_new(f.numer * quo[f.denom])) if f else zero for f in fs],
             Rat(_field.raw_new(den)))

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
+from sympy.polys.rings import PolyElement
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -54,6 +55,23 @@ class TestArithmetic:
     def test_inverse_roundtrip(self, x):
         if not x.is_zero():
             assert x.inv().inv() == x
+
+
+class TestEqualityAndHash:
+    @pytest.mark.parametrize("number", [0, 1, -3, Fraction(1, 2), Fraction(-7, 3)])
+    def test_rational_values_hash_like_the_number(self, number):
+        x = Rat(number)
+        assert x == number and hash(x) == hash(number)
+        assert number in {x} and x in {number}
+
+    @pytest.mark.parametrize("text", ["foo", "1/0", "z^"])
+    def test_unparsable_text_is_unequal(self, text):
+        assert not Rat(1) == text
+        assert Rat(1) != text
+
+    def test_text_that_parses_compares_by_value(self):
+        assert Rat(1) == "1"
+        assert z / q == "z/q"
 
 
 class TestPrinting:
@@ -264,31 +282,39 @@ def test_parse_roundtrip(tree):
 
 # -- differential oracle: Henrici arithmetic against the field's operators ---
 
+# a term c * p^i * z^j * w^k * oracle_c^l is (i, j, k, l, c)
 _term = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1),
-                  st.integers(-3, 3))
+                  st.integers(0, 1), st.integers(-3, 3))
 _numerators = st.one_of(st.just([]),                        # zero
                         st.lists(_term, min_size=1, max_size=3))
+_ONE = [(0, 0, 0, 0, 1)]
 _denominators = st.one_of(
-    st.just([(0, 0, 0, 1)]),                                         # one
-    st.sampled_from([-4, -2, 3, 6]).map(lambda c: [(0, 0, 0, c)]),   # integer
+    st.just(_ONE),                                                   # one
+    st.sampled_from([-4, -2, 3, 6]).map(lambda c: [(0, 0, 0, 0, c)]),  # integer
     st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 1),
+              st.integers(0, 1),
               st.sampled_from([-2, -1, 1, 3])).map(lambda t: [t]),   # monomial
     st.lists(_term, min_size=1, max_size=3))                         # general
 
 
 def _poly(terms):
+    const(_ORACLE_CONST)
     ring = scalars._field.ring
     P, Z, W = ring.gens[:3]
-    return sum((c * P ** i * Z ** j * W ** k for i, j, k, c in terms), ring.zero)
+    C = ring.gens[scalars._index[_ORACLE_CONST]]
+    return sum((c * P ** i * Z ** j * W ** k * C ** l for i, j, k, l, c in terms),
+               ring.zero)
 
 
 @given(nf=_numerators, df=_denominators, ng=_numerators, dg=_denominators,
-       shared=st.booleans())
+       denominators=st.sampled_from(["drawn", "shared", "f is 1", "g is 1"]))
 @settings(max_examples=150, deadline=None)
-def test_henrici_matches_field_operators(nf, df, ng, dg, shared):
+def test_henrici_matches_field_operators(nf, df, ng, dg, denominators):
     """Rat's + - * / give exactly the numerator and denominator that
-    FracElement's own operators give, which cancel the unreduced result."""
-    dg = df if shared else dg
+    FracElement's own operators give, which cancel the unreduced result:
+    with the denominators drawn apart, shared, or one of them 1."""
+    df, dg = {"drawn": (df, dg), "shared": (df, df),
+              "f is 1": (_ONE, dg), "g is 1": (df, _ONE)}[denominators]
     assume(_poly(df) and _poly(dg))
     field = scalars._field
     f, g = field.new(_poly(nf), _poly(df)), field.new(_poly(ng), _poly(dg))
@@ -307,6 +333,95 @@ def test_clear_denominators():
     assert den.den() == one.den()
     assert [n.den() for n in nums] == [one.den()] * len(values)
     assert [n / den for n in nums] == values
+
+
+@given(dens=st.lists(_denominators, min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_clear_denominators_takes_sympys_lcm(dens):
+    """The common denominator is the one repeated ``den.lcm(d)`` calls give,
+    over the distinct denominators in order of first appearance."""
+    assume(all(_poly(d) for d in dens))
+    field = scalars._field
+    values = [Rat(field.new(field.ring.one, _poly(d))) for d in dens]
+    ref = field.ring.one
+    for x in values:
+        d = x.f.denom
+        if d != 1 and d != ref:
+            ref = d if ref == 1 else ref.lcm(d)
+    _, den = clear_denominators(values)
+    assert (den.f.numer, den.f.denom) == (ref, field.ring.one)
+
+
+# -- gcds in the ring of the operands' generators ----------------------------
+
+# p, z, w and two constants
+_GCD_RING = scalars._field_on({"gcd_c", "gcd_d"})[0].ring
+_N = _GCD_RING.ngens
+
+
+def _gcd_operand(gens):
+    """A polynomial in the generators ``gens`` (indices) only: zero, an
+    integer, a monomial or a sum of up to four terms."""
+    exps = st.tuples(*(st.integers(0, 2) if i in gens else st.just(0)
+                       for i in range(_N)))
+    return st.lists(st.tuples(exps, st.integers(-4, 4)), max_size=4).map(
+        lambda terms: sum((c * _GCD_RING.from_dict({e: 1}) for e, c in terms),
+                          _GCD_RING.zero))
+
+
+@st.composite
+def _gcd_pairs(draw):
+    """f = a*c and g = b*c, with a, b, c each over its own subset of the
+    generators; subsets may be empty, disjoint or everything."""
+    subsets = st.one_of(st.sets(st.integers(0, _N - 1)), st.just(set(range(_N))))
+    a, b, c = (draw(_gcd_operand(draw(subsets))) for _ in range(3))
+    c = c or _GCD_RING.one
+    return a * c, b * c
+
+
+@given(pair=_gcd_pairs())
+@example(pair=(_GCD_RING.gens[1] ** 2 - 1, _GCD_RING.gens[1] - 1))  # one generator
+@example(pair=(_GCD_RING.gens[0] + 1, _GCD_RING.gens[3] + 1))  # disjoint
+@example(pair=(_GCD_RING.gens[2] * _GCD_RING.gens[4], _GCD_RING.gens[2] + 1))  # monomial
+@example(pair=(_GCD_RING(6), 2 * _GCD_RING.gens[0] + 4))  # integer
+@example(pair=(sum(_GCD_RING.gens) * (_GCD_RING.gens[0] - 1),
+               sum(_GCD_RING.gens) * (_GCD_RING.gens[4] + 2)))  # every generator
+@settings(max_examples=200, deadline=None)
+def test_compact_cofactors_equal_full_ring_cofactors(pair):
+    """The gcd and cofactors taken in the ring of the operands' generators
+    are exactly (same sign, same ring) what the full ring gives."""
+    f, g = pair
+    mine, ref = scalars._cofactors(f, g), f.cofactors(g)
+    assert all(x.ring == _GCD_RING for x in mine)
+    assert mine == ref
+    if f and g:
+        assert scalars._lcm(f, g) == f.lcm(g)
+
+
+def test_gcds_ignore_unused_generators(monkeypatch):
+    """With six constants registered, arithmetic on values in p and z takes
+    every gcd in a ring of generators its operands use, and none against a
+    denominator 1."""
+    for k in range(6):
+        const(f"unused_gen_{k}")
+    calls = []
+    real = PolyElement.cofactors
+
+    def spy(f, g):
+        calls.append((f, g))
+        return real(f, g)
+
+    monkeypatch.setattr(PolyElement, "cofactors", spy)
+    x = (p + z) / (p - z)                      # Rat division: cross-cancels
+    y = (p * z + 1) / (z + 2)
+    values = [x * y, x + y, x - x * y, (p + z) * y, y + (p + z),
+              x * (p - z), y * (z + 2) + x]
+    assert values[5] == p + z and values[6] == p * z + 1 + x
+    assert calls
+    for f, g in calls:
+        used = {i for poly in (f, g) for m in poly for i, k in enumerate(m) if k}
+        assert len(used) == f.ring.ngens, (f.ring.symbols, f, g)
+        assert f != 1 and g != 1
 
 
 # -- substitution of a Laurent monomial: exponent remapping, no gcd ----------
