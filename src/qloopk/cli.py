@@ -345,15 +345,23 @@ def _proportionality(A: Mat, B: Mat):
 
 
 def _cmd_irred(args) -> tuple[int, dict]:
+    """``qsp`` reads its module from ``--scenario``; ``lowering`` and
+    ``tensor`` read theirs from ``--rep``. Giving a mode the other option is
+    a usage error, so that no option is silently ignored."""
     vars = _parse_vars(args.vars)
-    if args.mode == "tensor":
-        V, W = _reps_from_args(args, vars, 2)
-        verdict = check_generic_tensor_irreducible(V, W)
-    elif args.mode == "qsp":
-        sc = Scenario(_load_scenario(args.scenario), vars)
+    if args.mode == "qsp":
+        if args.rep:
+            raise UsageError("--mode qsp takes --scenario, not --rep")
+        sc = Scenario(_load_scenario(args.scenario
+                                     or "qonsager-sl2-fundamental"), vars)
         V = sc.reps["V"]
         verdict = check_modified_nilpotent_irreducible(
             V, qsp_deformations(V, sc.params))
+    elif args.scenario is not None:
+        raise UsageError(f"--mode {args.mode} takes --rep, not --scenario")
+    elif args.mode == "tensor":
+        V, W = _reps_from_args(args, vars, 2)
+        verdict = check_generic_tensor_irreducible(V, W)
     else:
         (V,) = _reps_from_args(args, vars, 1)
         verdict = check_irreducible([V.F[i] for i in V.cartan.nodes])
@@ -451,7 +459,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ir = sub.add_parser("irred", help="restricted irreducibility")
     irs = ir.add_subparsers(dest="action", required=True)
     ic = irs.add_parser("check")
-    common(ic, reps=True, scenario=True)
+    common(ic, reps=True)
+    ic.add_argument("--scenario", help="for --mode qsp only "
+                    "(default qonsager-sl2-fundamental)")
     ic.add_argument("--mode", choices=("lowering", "qsp", "tensor"),
                     default="lowering")
     ic.set_defaults(func=_cmd_irred)

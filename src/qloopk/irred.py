@@ -15,6 +15,14 @@ if the images generate all of M_n(F_ELL), some n^2 words in the generators
 have an n^2 x n^2 minor that is nonzero modulo ELL, hence nonzero over
 Q(p, z, w, ...), and the generic closure is full. A non-full image proves
 nothing; the exact closure then decides.
+
+The closure over F_ELL (_full_mod) runs on Python ints: flat row-major
+matrices, generators stored by the nonzeros of their rows, and elimination
+over Z that takes a residue only where one is tested (the coefficient at a
+pivot) or stored (a new span row). That is exact, because every step is a
+ring operation over Z and reduction modulo ELL commutes with them. It costs
+O(n^6) integer operations at worst; on the sparse generators of the tensor
+checks, about 0.1-0.2 s at n = 16 and 1 s at n = 25.
 """
 
 from __future__ import annotations
@@ -126,40 +134,69 @@ def _specialized_full(mats: list[Mat], n: int) -> bool:
 def _full_mod(gens: list[list[list[int]]], n: int) -> bool:
     """Whether the unital algebra generated by the n x n matrices ``gens``
     over F_ELL is all of M_n(F_ELL); the closure of
-    linalg.algebra_closure, on plain ints."""
-    full = n * n
-    rows: dict[int, list[int]] = {}  # pivot -> row, 1 there and 0 before
+    linalg.algebra_closure, on plain ints.
 
-    def add(m) -> bool:
-        if len(rows) == full:
-            return False
-        v = [x for row in m for x in row]
+    Breadth-first over words: each new element of the span is multiplied
+    on the right by every generator and the product echelon-reduced
+    against the span, until a round adds nothing or the span is full (no
+    product is formed after that). A product takes one ``% ELL`` per entry.
+    Elimination subtracts over Z and reduces only the coefficient it tests
+    at each pivot and the row it stores; that is exact, because only
+    residues are ever tested. At most n^2 * len(gens) products are each
+    reduced against at most n^2 rows of length n^2: O(n^6) integer
+    operations. Span rows are kept by their nonzeros, so on the sparse
+    generators of a tensor check it takes about 0.1-0.2 s at n = 16 and
+    1 s at n = 25 on a 2-vCPU VM.
+    """
+    full = n * n
+    # pivot j -> the nonzero (k, residue) pairs, k > j, of a span row that
+    # is 1 at j and 0 before it (on the tensor checks' generators, at most
+    # 10-20% of the n^2 entries of a row are nonzero)
+    rows: dict[int, list[tuple[int, int]]] = {}
+
+    def add(m: list[int]) -> bool:
+        v = list(m)
         for j in range(full):
-            c = v[j]
+            c = v[j] and v[j] % ELL
             if not c:
                 continue
             row = rows.get(j)
             if row is None:
                 inv = pow(c, -1, ELL)
-                rows[j] = [x * inv % ELL for x in v]
+                rows[j] = [(k, y) for k in range(j + 1, full)
+                           if (y := v[k] * inv % ELL)]
                 return True
-            v[j:] = [(x - c * y) % ELL for x, y in zip(v[j:], row[j:])]
+            for k, y in row:
+                v[k] -= c * y
         return False
 
-    # each generator as its columns' nonzero (row, value) pairs: generators
-    # are sparse, products of them need not be
-    sparse = [[[(k, y) for k, y in enumerate(col) if y] for col in zip(*g)]
+    # each generator as the nonzero (column, value) pairs of each of its
+    # rows, so that b.g adds b[i, k] * y to out[i, c] over the pairs of row k
+    sparse = [[[(c, y) for c, y in enumerate(row) if y] for row in g]
               for g in gens]
 
-    def mul(a, cols):
-        return [[sum(r[k] * y for k, y in col) % ELL for col in cols]
-                for r in a]
+    def mul(b: list[int], g) -> list[int]:
+        out = [0] * full
+        for i in range(0, full, n):
+            for k, row in enumerate(g):
+                x = b[i + k]
+                if x:
+                    for c, y in row:
+                        out[i + c] += x * y
+        return [x % ELL for x in out]
 
-    identity = [[int(i == j) for j in range(n)] for i in range(n)]
-    frontier = [m for m in [identity] + gens if add(m)]
-    while frontier and len(rows) < full:
-        frontier = [prod for b in frontier for g in sparse
-                    if add(prod := mul(b, g))]
+    identity = [int(k % (n + 1) == 0) for k in range(full)]
+    flat = [[x for row in g for x in row] for g in gens]
+    frontier = [m for m in [identity] + flat if add(m)]
+    while frontier:
+        grown = []
+        for b in frontier:
+            for g in sparse:
+                if len(rows) == full:
+                    return True
+                if add(prod := mul(b, g)):
+                    grown.append(prod)
+        frontier = grown
     return len(rows) == full
 
 

@@ -36,6 +36,12 @@ class TestUsageErrors:
         ("rep", "check", "--rep", "eval-sl2:1:a", "--rep", "eval-vector:3:b"),
         ("rmatrix", "compute", "--rep", "eval-sl2:1:a",
          "--rep", "eval-vector:3:b"),
+        # an option the mode does not read is not silently ignored
+        ("irred", "check", "--mode", "qsp", "--rep", "eval-sl2:1:a"),
+        ("irred", "check", "--mode", "lowering", "--rep", "eval-sl2:1:a",
+         "--scenario", "no-such-scenario"),
+        ("irred", "check", "--mode", "tensor", "--rep", "eval-sl2:1:a",
+         "--rep", "eval-sl2:1:b", "--scenario", "qonsager-sl2-fundamental"),
     ], ids=" ".join)
     def test_exits_two(self, capsys, argv):
         assert main(list(argv)) == 2
@@ -184,6 +190,13 @@ class TestIrred:
                         "--rep", "eval-sl2:1:a", "--rep", "eval-sl2:1:b",
                         "--mode", "tensor")
         assert code == 0
+
+    def test_qsp_mode_defaults_to_fundamental_scenario(self, capsys):
+        default = run(capsys, "irred", "check", "--mode", "qsp")
+        named = run(capsys, "irred", "check", "--mode", "qsp",
+                    "--scenario", "qonsager-sl2-fundamental")
+        assert default == named
+        assert default[0] == 0
 
 
 class TestPipeline:

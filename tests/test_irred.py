@@ -11,6 +11,8 @@ from qloopk.linalg import Mat
 from qloopk.repcore import build_eval_rep_sl2
 from qloopk.scalars import Rat, const, one, parse, q, z, zero
 
+ELL = irred.ELL
+
 
 def _block_diag_double(mats):
     out = []
@@ -200,3 +202,115 @@ def test_fast_path_full_implies_exact_full(case):
     n, mats = case
     if irred._specialized_full(mats, n):
         assert irred.algebra_closure(mats, max_dim=n * n).dim == n * n
+
+
+def _full_mod_reference(gens, n):
+    """The F_ELL closure as first written: nested matrices, column-sparse
+    generators and a ``% ELL`` after every operation. The oracle for
+    irred._full_mod."""
+    full = n * n
+    rows = {}  # pivot -> row, 1 there and 0 before
+
+    def add(m) -> bool:
+        if len(rows) == full:
+            return False
+        v = [x for row in m for x in row]
+        for j in range(full):
+            c = v[j]
+            if not c:
+                continue
+            row = rows.get(j)
+            if row is None:
+                inv = pow(c, -1, ELL)
+                rows[j] = [x * inv % ELL for x in v]
+                return True
+            v[j:] = [(x - c * y) % ELL for x, y in zip(v[j:], row[j:])]
+        return False
+
+    sparse = [[[(k, y) for k, y in enumerate(col) if y] for col in zip(*g)]
+              for g in gens]
+
+    def mul(a, cols):
+        return [[sum(r[k] * y for k, y in col) % ELL for col in cols]
+                for r in a]
+
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    frontier = [m for m in [identity] + gens if add(m)]
+    while frontier and len(rows) < full:
+        frontier = [prod for b in frontier for g in sparse
+                    if add(prod := mul(b, g))]
+    return len(rows) == full
+
+
+# a pivot 2 stores a row scaled by (ELL + 1) / 2, so elimination over Z
+# leaves nonzero multiples of ELL behind; any residue makes dense, mostly
+# full generator sets
+_RESIDUE = st.one_of(st.sampled_from([0, 1, 2, ELL - 1]),
+                     st.integers(0, ELL - 1))
+
+
+@st.composite
+def _residue_generators(draw):
+    n = draw(st.integers(1, 5))
+    mat = st.lists(st.lists(_RESIDUE, min_size=n, max_size=n),
+                   min_size=n, max_size=n)
+    return n, draw(st.lists(mat, min_size=1, max_size=3))
+
+
+def _upper_block(n, k, entries):
+    """n x n with the rows >= k zero in the columns < k."""
+    it = iter(entries)
+    return [[0 if i >= k > j else next(it) for j in range(n)]
+            for i in range(n)]
+
+
+class TestFullModOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(_residue_generators())
+    def test_matches_reference(self, case):
+        n, gens = case
+        assert irred._full_mod(gens, n) == _full_mod_reference(gens, n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 5).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(1, n - 1),
+        st.lists(st.lists(_RESIDUE, min_size=n * n, max_size=n * n),
+                 min_size=1, max_size=3))))
+    def test_block_upper_triangular_not_full(self, case):
+        n, k, draws = case
+        gens = [_upper_block(n, k, e) for e in draws]
+        assert _full_mod_reference(gens, n) is False
+        assert irred._full_mod(gens, n) is False
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 5).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.lists(_RESIDUE, min_size=n, max_size=n),
+                             min_size=1, max_size=3))))
+    def test_commuting_diagonal_not_full(self, case):
+        n, diagonals = case
+        gens = [[[d[i] if i == j else 0 for j in range(n)] for i in range(n)]
+                for d in diagonals]
+        assert _full_mod_reference(gens, n) is False
+        assert irred._full_mod(gens, n) is False
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_single_nilpotent_not_full(self, n):
+        # the shift e_i -> e_{i+1}, and with it the shift pair, which is full
+        shift = [[int(i == j + 1) for j in range(n)] for i in range(n)]
+        back = [list(col) for col in zip(*shift)]
+        assert _full_mod_reference([shift], n) is False
+        assert irred._full_mod([shift], n) is False
+        assert irred._full_mod([shift, back], n) is True
+
+    def test_spin1_tensor_square(self, spin1, b, monkeypatch):
+        # the 8 generators of spin 1 (x) spin 1 over F_ELL: the 81-dimensional
+        # span fills partway through a round of products
+        seen = []
+        monkeypatch.setattr(irred, "_full_mod",
+                            lambda gens, n: seen.append((gens, n)) or True)
+        check_generic_tensor_irreducible(spin1, build_eval_rep_sl2(2, b))
+        (gens, n), = seen
+        assert n == 9 and len(gens) == 8
+        assert _full_mod_reference(gens, n) is True
+        monkeypatch.undo()
+        assert irred._full_mod(gens, n) is True
