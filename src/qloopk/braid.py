@@ -29,10 +29,6 @@ class GaugeInvalid(BraidError):
     pass
 
 
-class InconsistentExtension(BraidError):
-    pass
-
-
 def _divided_powers(X: Mat, d: int) -> list[Mat]:
     """X^(k) = X^k / [k]_{q_i}! for k = 0, 1, ..., up to the first zero
     power (at most k = dim + 1)."""
@@ -127,50 +123,6 @@ def cartan_correction(rep: Rep, diagram: SatakeDiagram) -> Mat:
         if pexp.denominator != 1:
             raise BraidError(f"non-integral relative exponent {pexp} in xi")
         entries.append(p ** int(pexp))
-    return Mat.diagonal(entries)
-
-
-def gamma_operator(rep: Rep, gamma: dict, extension: dict | None = None) -> Mat:
-    """Diagonal action of the parameter character: weight lam ↦ gamma(lam).
-
-    Without an ``extension`` the weight must lie in the root lattice so that
-    gamma(lam) is a monomial in the gamma_i. An extension assigns a value to
-    each finite fundamental weight; it must reproduce gamma_i on the simple
-    roots (InconsistentExtension otherwise).
-    """
-    cd = rep.cartan
-    gamma = {i: Rat(v) for i, v in gamma.items()}
-    if extension is not None:
-        ext = {i: Rat(v) for i, v in extension.items()}
-        for j in range(1, cd.rank + 1):
-            val = one
-            for i in range(1, cd.rank + 1):
-                val = val * ext[i] ** cd.a[j][i]
-            if val != gamma[j]:
-                raise InconsistentExtension(
-                    f"extension gives {val} on simple root {j}, expected gamma_{j}")
-        entries = []
-        for wt in rep.weights:
-            val = one
-            for i in range(1, cd.rank + 1):
-                h = wt[i]
-                if h.denominator != 1:
-                    raise InconsistentExtension("non-integral coroot value")
-                val = val * ext[i] ** int(h)
-            entries.append(val)
-        return Mat.diagonal(entries)
-    entries = []
-    for wt in rep.weights:
-        lam = classical_in_root_basis(cd, wt[1:])
-        val = one
-        for i, c in enumerate(lam.coords):
-            if c == 0:
-                continue
-            if c.denominator != 1:
-                raise InconsistentExtension(
-                    "weight outside the root lattice; supply an extension")
-            val = val * gamma[i] ** int(c)
-        entries.append(val)
     return Mat.diagonal(entries)
 
 

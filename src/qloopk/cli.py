@@ -22,7 +22,7 @@ from .repcore import RepError, build_rep, tensor, verify_relations
 from .rmat import detect_degeneration, solve_R, verify_R_unitarity, verify_YBE
 from .rootdata import (GradingShift, QSPParams, SatakeDiagram, affine_A,
                        validate_gsat)
-from .scalars import PoleAtPoint, Rat, parse as parse_rat
+from .scalars import _NAME, PoleAtPoint, Rat, parse as parse_rat
 
 
 class UsageError(Exception):
@@ -59,9 +59,13 @@ def _parse_point(s: str | None, option: str) -> dict:
         if "=" not in chunk:
             raise UsageError(f"bad {option} entry {chunk!r}, expected name=value")
         k, v = chunk.split("=", 1)
-        if k.strip() == "q":
+        k = k.strip()
+        if not _NAME.fullmatch(k):
+            raise UsageError(f"bad {option} name {k!r}; a name is a letter or "
+                             "_ followed by letters, digits or _")
+        if k == "q":
             raise UsageError("substitute p, not q")
-        out[k.strip()] = _parse_value(v.strip())
+        out[k] = _parse_value(v.strip())
     return out
 
 
@@ -172,39 +176,34 @@ def _matrix_latex(rows) -> str:
     return "\\begin{pmatrix}\n" + body + "\n\\end{pmatrix}"
 
 
-def _flatten_text(obj, prefix="") -> list[str]:
-    lines = []
+def _leaves(obj, prefix=""):
+    """(dotted path, leaf) pairs of the payload, keys in sorted order; a
+    leaf is anything but a dict."""
     if isinstance(obj, dict):
         for k in sorted(obj):
-            lines.extend(_flatten_text(obj[k], f"{prefix}{k}."))
-    elif isinstance(obj, list) and obj and isinstance(obj[0], list):
-        for i, row in enumerate(obj):
-            lines.append(f"{prefix}{i}: " + "  ".join(str(x) for x in row))
+            yield from _leaves(obj[k], f"{prefix}{k}.")
     else:
-        lines.append(f"{prefix[:-1]}: {obj}")
-    return lines
+        yield prefix[:-1], obj
 
 
 def _emit(payload: dict, fmt: str):
     if fmt == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
-    elif fmt == "latex":
-        out = []
-
-        def walk(obj, prefix):
-            if isinstance(obj, dict):
-                for k in sorted(obj):
-                    walk(obj[k], f"{prefix}{k}.")
-            elif isinstance(obj, list) and obj and isinstance(obj[0], list):
-                out.append(f"% {prefix[:-1]}")
-                out.append(_matrix_latex(obj))
-            else:
-                out.append(f"% {prefix[:-1]}: {json.dumps(obj, sort_keys=True)}")
-
-        walk(payload, "")
-        print("\n".join(out))
-    else:
-        print("\n".join(_flatten_text(payload)))
+        return
+    out = []
+    for path, leaf in _leaves(payload):
+        matrix = isinstance(leaf, list) and leaf and isinstance(leaf[0], list)
+        if fmt == "latex" and matrix:
+            out.append(f"% {path}")
+            out.append(_matrix_latex(leaf))
+        elif fmt == "latex":
+            out.append(f"% {path}: {json.dumps(leaf, sort_keys=True)}")
+        elif matrix:
+            for i, row in enumerate(leaf):
+                out.append(f"{path}.{i}: " + "  ".join(str(x) for x in row))
+        else:
+            out.append(f"{path}: {leaf}")
+    print("\n".join(out))
 
 
 def _report_exit(ok: bool) -> int:
@@ -270,20 +269,19 @@ def _cmd_rmatrix(args) -> tuple[int, dict]:
         V, W = _reps_from_args(args, vars, 2)
         report = verify_R_unitarity(V, W)
         return _report_exit(report.ok), {"unitarity": report.to_json()}
-    if args.action == "degeneration":
-        V, W = _reps_from_args(args, vars, 2)
-        point = _parse_point(args.at, "--at")
-        if not point:
-            raise UsageError("degeneration needs --at name=value,...")
-        R = solve_R(V, W).matrix
-        names = set().union(*(x.names() for row in R.data for x in row))
-        if unused := sorted(point.keys() - names):
-            raise UsageError(f"--at names {', '.join(unused)}, "
-                             "on which R does not depend")
-        kind = detect_degeneration(V, W, point, R)
-        return 0, {"degeneration": {"at": {k: str(v) for k, v in point.items()},
-                                    "kind": kind}}
-    raise UsageError(f"unknown rmatrix action {args.action!r}")
+    # degeneration, the last action argparse allows
+    V, W = _reps_from_args(args, vars, 2)
+    point = _parse_point(args.at, "--at")
+    if not point:
+        raise UsageError("degeneration needs --at name=value,...")
+    R = solve_R(V, W).matrix
+    names = set().union(*(x.names() for row in R.data for x in row))
+    if unused := sorted(point.keys() - names):
+        raise UsageError(f"--at names {', '.join(unused)}, "
+                         "on which R does not depend")
+    kind = detect_degeneration(V, W, point, R)
+    return 0, {"degeneration": {"at": {k: str(v) for k, v in point.items()},
+                                "kind": kind}}
 
 
 def _cmd_kmatrix(args) -> tuple[int, dict]:
@@ -308,22 +306,21 @@ def _cmd_kmatrix(args) -> tuple[int, dict]:
         report = verify_K_unitarity(sc.reps["V"], sc.twist, sc.shift,
                                     sc.params)
         return _report_exit(report.ok), {"k-unitarity": report.to_json()}
-    if args.action == "convert-grading":
-        sc = Scenario(data, vars)
-        V = sc.reps["V"]
-        Kpr = solve_K(V, sc.twist, GradingShift.principal(sc.cartan),
-                      sc.params)
-        converted = convert_grading(Kpr, V)
-        direct = solve_K(V, sc.twist, GradingShift.tau_minimal(sc.diagram),
-                         sc.params)
-        ratio = _proportionality(converted, direct.matrix)
-        ok = ratio is not None
-        return _report_exit(ok), {
-            "convert-grading": {"converted": converted.to_json(),
-                                "direct": direct.matrix.to_json(),
-                                "scalar": None if ratio is None else str(ratio),
-                                "ok": ok}}
-    raise UsageError(f"unknown kmatrix action {args.action!r}")
+    # convert-grading, the last action argparse allows
+    sc = Scenario(data, vars)
+    V = sc.reps["V"]
+    Kpr = solve_K(V, sc.twist, GradingShift.principal(sc.cartan),
+                  sc.params)
+    converted = convert_grading(Kpr, V)
+    direct = solve_K(V, sc.twist, GradingShift.tau_minimal(sc.diagram),
+                     sc.params)
+    ratio = _proportionality(converted, direct.matrix)
+    ok = ratio is not None
+    return _report_exit(ok), {
+        "convert-grading": {"converted": converted.to_json(),
+                            "direct": direct.matrix.to_json(),
+                            "scalar": None if ratio is None else str(ratio),
+                            "ok": ok}}
 
 
 def _proportionality(A: Mat, B: Mat):

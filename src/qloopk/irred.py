@@ -6,7 +6,9 @@ is decided exactly by linalg.algebra_closure. For one-parameter families the
 z -> 0 specialization argument reduces generic irreducibility over the
 rational-function field to a constant-matrix closure: a polynomial family of
 operators with an invariant subspace over F(z) has one at z = 0.
-All grading shifts in this module are principal (z on every node).
+All grading shifts in this module are principal (z on every node). The
+deformed lowering family is that of the coideal generators B_i, written
+once in kmat.deformation_terms.
 
 check_irreducible first tries a certificate over F_ELL, ELL = 2^31 - 1: the
 entries are evaluated modulo ELL at one point of (p, z, w, constants). That
@@ -29,9 +31,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .kmat import deformation_terms
 from .linalg import Mat, SpanBasis, algebra_closure, kron
 from .repcore import Rep, coproduct
-from .rootdata import GradingShift, QSPParams, shift_exponent, theta_on_roots
+from .rootdata import GradingShift, QSPParams
 from .scalars import PoleAtPoint, Rat, one, z as z_var, zero
 
 ELL = 2 ** 31 - 1  # the prime of the fast path in _specialized_full
@@ -209,7 +212,7 @@ def check_irreducible(mats: list[Mat]) -> IrredVerdict:
     if _specialized_full(mats, n):
         return IrredVerdict(True, n, n * n,
                             detail="full closure (constant specialization)")
-    closure = algebra_closure(mats, max_dim=n * n)
+    closure = algebra_closure(mats)
     if closure.dim == n * n:
         return IrredVerdict(True, n, closure.dim)
     closure_mats = [Mat([row[i * n:(i + 1) * n] for i in range(n)])
@@ -247,10 +250,14 @@ def check_modified_nilpotent_irreducible(V: Rep, deformations: dict,
     otherwise); then M_i(0) = F_i and the specialization argument applies:
     irreducibility of the F_i alone gives generic irreducibility of the
     family. route='direct' instead closes the M_i(z) over the z-field.
+    A key of ``deformations`` that is not a node of V is a ValueError.
     """
     if route not in ("specialize", "direct"):
         raise ValueError(f"unknown route {route!r}")
     cd = V.cartan
+    if stray := [k for k in deformations if k not in cd.nodes]:
+        raise ValueError(f"deformations under keys {stray}, which are not "
+                         f"nodes of {V.label}")
     Ms = {}
     for i in cd.nodes:
         D = deformations.get(i)
@@ -265,31 +272,18 @@ def check_modified_nilpotent_irreducible(V: Rep, deformations: dict,
 
 
 def qsp_deformations(V: Rep, params: QSPParams) -> dict:
-    """Deformation matrices for the coideal lowering generators under the
-    principal shift: D_i = gamma_i z^{-pr(theta(alpha_i))} theta_q(F_i)
-    + sigma_i K_i^{-1}, so that F_i + z D_i is the z-scaled shifted
-    generator."""
-    from .braid import theta_q_Fs
-    diagram = params.diagram
-    cd = diagram.cartan
-    pr = GradingShift.principal(cd)
-    thF = theta_q_Fs(V, diagram, [i for i in cd.nodes if i not in diagram.X])
-    out = {}
-    for i, th in thF.items():
-        sth = shift_exponent(pr, theta_on_roots(diagram, cd.alpha(i)))
-        D = th.scale(params.gamma[i] * z_var ** (-sth))
-        if not params.sigma[i].is_zero():
-            D = D + V.Kinv(i).scale(params.sigma[i])
-        out[i] = D
-    return out
+    """Deformation matrices D_i for the coideal lowering generators under
+    the principal shift: kmat.deformation_terms at that shift and z, so
+    that F_i + z D_i is the z-scaled shifted generator."""
+    return deformation_terms(V, params,
+                             GradingShift.principal(params.diagram.cartan),
+                             z_var)
 
 
-def check_generic_tensor_irreducible(V: Rep, W: Rep,
-                                     loci: list | None = None) -> IrredVerdict:
+def check_generic_tensor_irreducible(V: Rep, W: Rep) -> IrredVerdict:
     """Generic irreducibility of V tensor W(z) via the z -> 0 specialization
-    of the coproduct generator set; loci, when given, are parameter points
-    classified by the R-matrix degeneration detector and reported in the
-    verdict detail."""
+    of the coproduct generator set. Where the tensor product degenerates is
+    rmat.detect_degeneration's question, not this one's."""
     gens = []
     for i in V.cartan.nodes:
         if i == 0:
@@ -300,14 +294,4 @@ def check_generic_tensor_irreducible(V: Rep, W: Rep,
             gens.extend(coproduct(V, W, i))
         gens.append(kron(V.K[i], W.K[i]))
         gens.append(kron(V.Kinv(i), W.Kinv(i)))
-    verdict = check_irreducible(gens)
-    if loci:
-        from .rmat import detect_degeneration, solve_R
-        R = solve_R(V, W).matrix
-        notes = []
-        for point in loci:
-            kind = detect_degeneration(V, W, point, R=R)
-            notes.append(f"{point}: {kind}")
-        verdict.detail = (verdict.detail + "; " if verdict.detail else "") \
-            + "loci: " + "; ".join(notes)
-    return verdict
+    return check_irreducible(gens)

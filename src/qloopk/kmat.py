@@ -71,25 +71,35 @@ def _cartan_fixed_generators(diagram: SatakeDiagram) -> list[tuple[int, ...]]:
     return out
 
 
-def qsp_generators(rep: Rep, params: QSPParams, shift: GradingShift,
-                   zval) -> list[tuple[str, Mat]]:
-    """Matrices of the shifted coideal generators Sigma_z(b) on the module."""
+def deformation_terms(rep: Rep, params: QSPParams, shift: GradingShift,
+                      zval) -> dict[int, Mat]:
+    """For each node i outside X, the part of the shifted coideal generator
+    B_i beyond F_i z^{-s_i}: gamma_i z^{-s(theta(alpha_i))} theta_q(F_i)
+    + sigma_i K_i^{-1}."""
     diagram = params.diagram
     cd = diagram.cartan
+    thF = theta_q_Fs(rep, diagram, [i for i in cd.nodes if i not in diagram.X])
+    out = {}
+    for i, th in thF.items():
+        sth = shift_exponent(shift, theta_on_roots(diagram, cd.alpha(i)))
+        D = th.scale(params.gamma[i] * zval ** (-sth))
+        if not params.sigma[i].is_zero():
+            D = D + rep.Kinv(i).scale(params.sigma[i])
+        out[i] = D
+    return out
+
+
+def qsp_generators(rep: Rep, params: QSPParams, shift: GradingShift,
+                   zval) -> list[tuple[str, Mat]]:
+    """Matrices of the shifted coideal generators Sigma_z(b) on the module;
+    B_i is F_i z^{-s_i}, plus deformation_terms for i outside X."""
+    diagram = params.diagram
     zval = zval if isinstance(zval, Rat) else Rat(zval)
     out = []
-    thF = theta_q_Fs(rep, diagram, [i for i in cd.nodes if i not in diagram.X])
-    for i in cd.nodes:
-        si = shift.s[i]
-        if i in diagram.X:
-            out.append((f"B{i}", rep.F[i].scale(zval ** (-si))))
-            continue
-        sth = shift_exponent(shift, theta_on_roots(diagram, cd.alpha(i)))
-        m = rep.F[i].scale(zval ** (-si))
-        m = m + thF[i].scale(params.gamma[i] * zval ** (-sth))
-        if not params.sigma[i].is_zero():
-            m = m + rep.Kinv(i).scale(params.sigma[i])
-        out.append((f"B{i}", m))
+    D = deformation_terms(rep, params, shift, zval)
+    for i in diagram.cartan.nodes:
+        m = rep.F[i].scale(zval ** (-shift.s[i]))
+        out.append((f"B{i}", m if i in diagram.X else m + D[i]))
     for j in diagram.X:
         out.append((f"E{j}", rep.E[j].scale(zval ** shift.s[j])))
         out.append((f"K{j}", rep.K[j]))

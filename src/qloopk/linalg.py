@@ -443,11 +443,12 @@ def intertwiner_kernel(pairs: list[tuple[Mat, Mat]],
     return span.nullspace()
 
 
-def algebra_closure(mats: list[Mat], max_dim: int | None = None) -> SpanBasis:
+def algebra_closure(mats: list[Mat]) -> SpanBasis:
     """Echelon basis of the unital matrix algebra generated by ``mats``.
 
     Seeds with the identity, then multiplies basis elements by generators
-    until the span stabilizes (or exceeds ``max_dim``, for early exit).
+    until the span stabilizes or has dimension n^2, all of M_n; no product
+    is formed after that.
     """
     if not mats:
         raise LinalgError("no generators")
@@ -460,23 +461,18 @@ def algebra_closure(mats: list[Mat], max_dim: int | None = None) -> SpanBasis:
     def vec(m: Mat):
         return [m.data[i][j] for i in range(n) for j in range(n)]
 
-    def unvec(v):
-        return Mat([v[i * n:(i + 1) * n] for i in range(n)])
-
     frontier = []
     for m in [Mat.identity(n)] + list(mats):
         if span.add(vec(m)):
             frontier.append(m)
     while frontier:
-        if max_dim is not None and span.dim >= max_dim:
-            break
         new = []
         for b in frontier:
             for g in mats:
+                if span.dim == n * n:
+                    return span
                 prod = b @ g
                 if span.add(vec(prod)):
                     new.append(prod)
-                if max_dim is not None and span.dim >= max_dim:
-                    return span
         frontier = new
     return span

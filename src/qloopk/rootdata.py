@@ -249,9 +249,6 @@ class SatakeDiagram:
     def wX_word(self) -> tuple[int, ...]:
         return longest_element(self.cartan, self.X)
 
-    def theta(self, mu: RootVec) -> RootVec:
-        return theta_on_roots(self, mu)
-
     def restricted_rank(self) -> int:
         rest = [i for i in self.cartan.nodes if i not in self.X]
         orbits = set()

@@ -623,10 +623,6 @@ def parse(s: str, register: bool = False) -> Rat:
     return Rat(_rebase(x))
 
 
-def substitute(a, assignments: dict) -> Rat:
-    return Rat(a).substitute(assignments)
-
-
 zero = Rat(0)
 one = Rat(1)
 p = _gen("p")

@@ -1,8 +1,7 @@
 import pytest
 
-from qloopk.braid import (BraidError, GaugeInvalid, InconsistentExtension,
-                          RealizedTwist, TwistSpec, braid_SX,
-                          cartan_correction, gamma_operator, lusztig_T,
+from qloopk.braid import (BraidError, GaugeInvalid, RealizedTwist, TwistSpec,
+                          braid_SX, cartan_correction, lusztig_T,
                           realize_twist, t_theta_matrix, theta_q_Fs)
 from qloopk.linalg import Mat, invert
 from qloopk.repcore import build_eval_rep_sl2, build_vector_rep_slN_eval
@@ -78,25 +77,6 @@ class TestThetaQ:
             for c in range(3):
                 if not M[r, c].is_zero():
                     assert r == c - 1
-
-
-class TestGammaOperator:
-    def test_needs_extension_off_root_lattice(self, fund):
-        with pytest.raises(InconsistentExtension):
-            gamma_operator(fund, {0: one, 1: const("g0")})
-
-    def test_consistent_extension(self, fund):
-        t = const("ext_t")
-        g = gamma_operator(fund, {0: t ** -2, 1: t ** 2}, extension={1: t})
-        assert g == Mat.diagonal([t, t.inv()])
-
-    def test_inconsistent_extension(self, fund):
-        with pytest.raises(InconsistentExtension):
-            gamma_operator(fund, {0: one, 1: one}, extension={1: const("ext_t")})
-
-    def test_root_lattice_weights(self, spin1):
-        g = gamma_operator(spin1, {0: one, 1: const("g0")})
-        assert g == Mat.diagonal([const("g0"), one, const("g0").inv()])
 
 
 class TestTwists:

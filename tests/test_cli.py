@@ -42,6 +42,13 @@ class TestUsageErrors:
          "--scenario", "no-such-scenario"),
         ("irred", "check", "--mode", "tensor", "--rep", "eval-sl2:1:a",
          "--rep", "eval-sl2:1:b", "--scenario", "qonsager-sl2-fundamental"),
+        # a name outside the scalar grammar is rejected, not ignored
+        ("rmatrix", "compute", "--rep", "eval-sl2:1:a",
+         "--rep", "eval-sl2:1:b", "--vars", "=3"),
+        ("rmatrix", "compute", "--rep", "eval-sl2:1:a",
+         "--rep", "eval-sl2:1:b", "--vars", "1x=3"),
+        ("rmatrix", "compute", "--rep", "eval-sl2:1:a",
+         "--rep", "eval-sl2:1:b", "--vars", "a b=3"),
     ], ids=" ".join)
     def test_exits_two(self, capsys, argv):
         assert main(list(argv)) == 2
@@ -56,6 +63,14 @@ class TestUsageErrors:
                      "--rep", "eval-sl2:1:b", option, "foo"]) == 2
         assert capsys.readouterr().err == (
             f"usage error: bad {option} entry 'foo', expected name=value\n")
+
+    @pytest.mark.parametrize("option", ["--vars", "--at"])
+    def test_empty_name(self, capsys, option):
+        assert main(["rmatrix", "degeneration", "--rep", "eval-sl2:1:a",
+                     "--rep", "eval-sl2:1:b", option, "=3,b=q^2*a,z=1"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"usage error: bad {option} name ''")
 
 
 class TestDiagramValidation:

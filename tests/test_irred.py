@@ -3,13 +3,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qloopk import irred
+from qloopk.braid import theta_q_Fs
 from qloopk.irred import (DeformationNotUpper, check_generic_tensor_irreducible,
                           check_irreducible,
                           check_modified_nilpotent_irreducible,
                           qsp_deformations)
 from qloopk.linalg import Mat
 from qloopk.repcore import build_eval_rep_sl2
-from qloopk.scalars import Rat, const, one, parse, q, z, zero
+from qloopk.rootdata import (GradingShift, QSPParams, SatakeDiagram, affine_A,
+                             shift_exponent, theta_on_roots)
+from qloopk.scalars import Rat, const, one, z, zero
 
 ELL = irred.ELL
 
@@ -64,7 +67,7 @@ class TestBurnside:
         monkeypatch.setattr(irred, "_full_mod",
                             lambda gens, n: calls.append(gens) or True)
         mats = make(one / irred.ELL)
-        exact = irred.algebra_closure(mats, max_dim=4)
+        exact = irred.algebra_closure(mats)
         assert not irred._specialized_full(mats, 2)
         assert calls == []
         v = check_irreducible(mats)
@@ -143,6 +146,13 @@ class TestModifiedNilpotent:
             check_modified_nilpotent_irreducible(
                 fund, {0: fund.K[0].scale(z.inv())})
 
+    def test_rejects_keys_off_the_nodes(self, fund):
+        # filed under node 0 this deformation is rejected; under 7 it must
+        # not be dropped in silence
+        with pytest.raises(ValueError, match="7"):
+            check_modified_nilpotent_irreducible(
+                fund, {7: fund.K[0].scale(z.inv())})
+
     def test_deformation_shape(self, fund, onsager):
         # the shifted deformations are polynomial in z once z-scaled
         defs = qsp_deformations(fund, onsager["params"])
@@ -155,6 +165,44 @@ class TestModifiedNilpotent:
                         assert all(t[0][1] > 0 for t in e.num().terms)
 
 
+def _qsp_deformations_reference(V, params):
+    """The deformation terms as first written in irred, separately from
+    kmat.qsp_generators. The oracle for irred.qsp_deformations."""
+    diagram = params.diagram
+    cd = diagram.cartan
+    pr = GradingShift.principal(cd)
+    thF = theta_q_Fs(V, diagram, [i for i in cd.nodes if i not in diagram.X])
+    out = {}
+    for i, th in thF.items():
+        sth = shift_exponent(pr, theta_on_roots(diagram, cd.alpha(i)))
+        D = th.scale(params.gamma[i] * z ** (-sth))
+        if not params.sigma[i].is_zero():
+            D = D + V.Kinv(i).scale(params.sigma[i])
+        out[i] = D
+    return out
+
+
+class TestSingleFormula:
+    @pytest.mark.parametrize("spin2", [1, 2, 3])
+    @pytest.mark.parametrize("datum", ["onsager", "onsager_sigma0"])
+    def test_onsager_spins(self, request, datum, spin2, a):
+        params = request.getfixturevalue(datum)["params"]
+        V = build_eval_rep_sl2(spin2, a)
+        defs = qsp_deformations(V, params)
+        assert set(defs) == {0, 1}
+        assert defs == _qsp_deformations_reference(V, params)
+
+    def test_quasi_split_sl3(self, vec3):
+        # X empty, tau = (0 2 1): theta_q(F_1) is built from E_2
+        g1 = const("g1")
+        diagram = SatakeDiagram(affine_A(2), (), (0, 2, 1))
+        params = QSPParams(diagram, {0: one, 1: g1, 2: g1.inv()},
+                           {i: zero for i in range(3)})
+        defs = qsp_deformations(vec3, params)
+        assert set(defs) == {0, 1, 2}
+        assert defs == _qsp_deformations_reference(vec3, params)
+
+
 class TestTensor:
     def test_fundamental_pair_generic(self, fund, fund_b):
         v = check_generic_tensor_irreducible(fund, fund_b)
@@ -164,13 +212,6 @@ class TestTensor:
         triv = build_eval_rep_sl2(0, b)
         v = check_generic_tensor_irreducible(fund, triv)
         assert v.irreducible is True
-
-    def test_degeneration_loci_reported(self, fund, fund_b, a):
-        v = check_generic_tensor_irreducible(
-            fund, fund_b,
-            loci=[{"b": a * q ** 2, "z": one}, {"b": a * q ** -2, "z": one}])
-        assert v.irreducible is True
-        assert "pole" in v.detail and "singular" in v.detail
 
 
 _Z_ENTRY = st.tuples(st.integers(-2, 2), st.integers(-2, 2),
@@ -201,7 +242,7 @@ def test_fast_path_full_implies_exact_full(case):
     # exact closure over Q(z) proves
     n, mats = case
     if irred._specialized_full(mats, n):
-        assert irred.algebra_closure(mats, max_dim=n * n).dim == n * n
+        assert irred.algebra_closure(mats).dim == n * n
 
 
 def _full_mod_reference(gens, n):

@@ -182,6 +182,30 @@ class TestClosure:
         d = Mat([[one, zero], [zero, Rat(2)]])
         assert algebra_closure([d]).dim <= algebra_closure([d, e01]).dim
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_no_product_once_full(self, n, monkeypatch):
+        # the shift pair spans all of M_n partway through a round of
+        # products; the closure stops there without being told n^2, which
+        # bounds the cost of irred.check_irreducible's exact fallback
+        spans, dims_at_product = [], []
+        add, matmul = SpanBasis.add, Mat.__matmul__
+
+        def spy_add(self, vec):
+            spans.append(self)
+            return add(self, vec)
+
+        def spy_matmul(self, other):
+            dims_at_product.append(spans[-1].dim)
+            return matmul(self, other)
+
+        monkeypatch.setattr(SpanBasis, "add", spy_add)
+        monkeypatch.setattr(Mat, "__matmul__", spy_matmul)
+        shift = Mat([[one if i == j + 1 else zero for j in range(n)]
+                     for i in range(n)])
+        back = Mat([[shift[j, i] for j in range(n)] for i in range(n)])
+        assert algebra_closure([shift, back]).dim == n * n
+        assert dims_at_product and max(dims_at_product) < n * n
+
 
 # -- product identities over common denominators -----------------------------
 

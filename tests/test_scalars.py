@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from qloopk import scalars
 from qloopk.scalars import (DivisionByZero, ParseError, PoleAtPoint, Rat,
                             clear_denominators, const, one, p, parse, q,
-                            q_binomial, q_factorial, q_int, substitute, w, z,
-                            zero)
+                            q_binomial, q_factorial, q_int, w, z, zero)
 
 
 def rational_strategy():
@@ -139,9 +138,6 @@ class TestParseSubstitute:
         x = one / (z - one)
         with pytest.raises(PoleAtPoint):
             x.substitute({"z": one})
-
-    def test_module_level_substitute(self):
-        assert substitute(z * w, {"w": Rat(3)}) == z * Rat(3)
 
     def test_const_registry(self):
         c = const("test_scalar_c")
