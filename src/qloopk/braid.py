@@ -16,8 +16,8 @@ from fractions import Fraction
 
 from .linalg import Mat, invert
 from .repcore import Rep, pullback_chevalley_tau
-from .rootdata import (GradingShift, SatakeDiagram, bilinear, build_Y0,
-                       classical_in_root_basis, rho, theta_on_roots)
+from .rootdata import (GradingShift, QSPParams, SatakeDiagram, bilinear,
+                       build_Y0, classical_in_root_basis, rho, theta_on_roots)
 from .scalars import Rat, one, p, q_factorial, zero
 
 
@@ -87,14 +87,10 @@ def lusztig_T(rep: Rep, i: int) -> Mat:
     return out
 
 
-def braid_SX(rep: Rep, diagram_or_word) -> Mat:
+def braid_SX(rep: Rep, diagram: SatakeDiagram) -> Mat:
     """Product of Lusztig operators along a reduced word for w_X."""
-    if isinstance(diagram_or_word, SatakeDiagram):
-        word = diagram_or_word.wX_word()
-    else:
-        word = tuple(diagram_or_word)
     out = Mat.identity(rep.dim)
-    for i in word:
+    for i in diagram.wX_word():
         out = out @ lusztig_T(rep, i)
     return out
 
@@ -175,7 +171,7 @@ class TwistSpec:
                                            for k, v in self.beta.items()}}}
         return {"gauge": self.gauge}
 
-    def check_admissible(self, shift: GradingShift, params=None):
+    def check_admissible(self, shift: GradingShift, params: QSPParams):
         """G_QSP membership: s vanishes on Y, and the diagonal part satisfies
         beta(delta) = gamma(delta). The braid and Cartan-correction factors
         are trivial on delta, so every non-diagonal gauge here needs
@@ -185,8 +181,6 @@ class TwistSpec:
                 if shift.s[i] != 0:
                     raise GaugeInvalid(
                         f"auxiliary gauge needs s(alpha_{i}) = 0 on Y")
-        if params is None:
-            return
         cd = self.diagram.cartan
         gamma_delta = one
         for i in cd.nodes:

@@ -8,6 +8,7 @@ JSON is emitted with sorted keys for byte-for-byte determinism.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from importlib import resources
@@ -65,6 +66,8 @@ def _parse_point(s: str | None, option: str) -> dict:
                              "_ followed by letters, digits or _")
         if k == "q":
             raise UsageError("substitute p, not q")
+        if k in out:
+            raise UsageError(f"{option} names {k!r} twice")
         out[k] = _parse_value(v.strip())
     return out
 
@@ -140,7 +143,7 @@ class Scenario:
     with a variable substitution applied throughout."""
 
     def __init__(self, data: dict, vars: dict):
-        self.data = data
+        self.data, self.vars = data, vars
         dg = data["diagram"]
         self.cartan = affine_A(int(dg["n"]))
         self.diagram = SatakeDiagram(self.cartan, tuple(dg.get("X", ())),
@@ -161,12 +164,32 @@ class Scenario:
             raise UsageError(f"unknown shift {shift!r}")
         self.reps = {k: _build(v, vars) for k, v in data["reps"].items()}
 
-    @staticmethod
-    def stage(data: dict, stage: str, vars: dict) -> "Scenario":
-        merged = dict(data.get("stage_vars", {}).get(stage, {}))
-        extra = {k: _parse_value(v) for k, v in merged.items()}
-        extra.update(vars)
-        return Scenario(data, extra)
+    @functools.cached_property
+    def K(self):
+        """The K-matrix of module V, solved once per scenario."""
+        return solve_K(self.reps["V"], self.twist, self.shift, self.params)
+
+    def stage(self, name: str) -> "Scenario":
+        """The scenario as stage ``name`` runs it: itself, or rebuilt with
+        the stage's ``stage_vars``, which ``--vars`` override."""
+        stage_vars = self.data.get("stage_vars", {}).get(name)
+        if not stage_vars:
+            return self
+        extra = {k: _parse_value(v) for k, v in stage_vars.items()}
+        extra.update(self.vars)
+        return Scenario(self.data, extra)
+
+
+# boundary check -> (payload key, check on a Scenario), in pipeline order. A
+# check looks its verifier up when it runs, so wrappers on it see the call.
+_CHECKS = {
+    "verify-gre": ("gre", lambda sc: verify_gre(
+        sc.reps["V"], sc.reps["W"], sc.twist, sc.shift, sc.params, KV=sc.K)),
+    "verify-re": ("re", lambda sc: verify_standard_re(
+        sc.reps["V"], sc.reps["W"], sc.params, sc.shift)),
+    "verify-unitarity": ("k-unitarity", lambda sc: verify_K_unitarity(
+        sc.reps["V"], sc.twist, sc.shift, sc.params)),
+}
 
 
 # -- output ---------------------------------------------------------------
@@ -286,28 +309,14 @@ def _cmd_rmatrix(args) -> tuple[int, dict]:
 
 def _cmd_kmatrix(args) -> tuple[int, dict]:
     vars = _parse_vars(args.vars)
-    data = _load_scenario(args.scenario)
+    sc = Scenario(_load_scenario(args.scenario), vars)
+    if args.action in _CHECKS:
+        key, check = _CHECKS[args.action]
+        report = check(sc.stage(args.action))
+        return _report_exit(report.ok), {key: report.to_json()}
     if args.action == "compute":
-        sc = Scenario(data, vars)
-        res = solve_K(sc.reps["V"], sc.twist, sc.shift, sc.params)
-        return 0, {"kmatrix": res.to_json()}
-    if args.action == "verify-gre":
-        sc = Scenario(data, vars)
-        report = verify_gre(sc.reps["V"], sc.reps["W"], sc.twist, sc.shift,
-                            sc.params)
-        return _report_exit(report.ok), {"gre": report.to_json()}
-    if args.action == "verify-re":
-        sc = Scenario.stage(data, "verify-re", vars)
-        report = verify_standard_re(sc.reps["V"], sc.reps["W"], sc.params,
-                                    sc.shift)
-        return _report_exit(report.ok), {"re": report.to_json()}
-    if args.action == "verify-unitarity":
-        sc = Scenario.stage(data, "verify-unitarity", vars)
-        report = verify_K_unitarity(sc.reps["V"], sc.twist, sc.shift,
-                                    sc.params)
-        return _report_exit(report.ok), {"k-unitarity": report.to_json()}
+        return 0, {"kmatrix": sc.K.to_json()}
     # convert-grading, the last action argparse allows
-    sc = Scenario(data, vars)
     V = sc.reps["V"]
     Kpr = solve_K(V, sc.twist, GradingShift.principal(sc.cartan),
                   sc.params)
@@ -367,32 +376,15 @@ def _cmd_irred(args) -> tuple[int, dict]:
 
 def _cmd_pipeline(args) -> tuple[int, dict]:
     vars = _parse_vars(args.vars)
-    data = _load_scenario(args.scenario)
-    stages = {}
+    sc = Scenario(_load_scenario(args.scenario), vars)
+    stages = {"solve-K": {"kernel_dim": sc.K.kernel_dim,
+                          "normalization": sc.K.normalization.get("mode")}}
     ok = True
-
-    sc = Scenario(data, vars)
-    V, W = sc.reps["V"], sc.reps["W"]
-    resV = solve_K(V, sc.twist, sc.shift, sc.params)
-    stages["solve-K"] = {"kernel_dim": resV.kernel_dim,
-                         "normalization": resV.normalization.get("mode")}
-    gre = verify_gre(V, W, sc.twist, sc.shift, sc.params, KV=resV)
-    stages["verify-gre"] = gre.to_json()
-    ok = ok and gre.ok
-
-    sc_re = Scenario.stage(data, "verify-re", vars)
-    re = verify_standard_re(sc_re.reps["V"], sc_re.reps["W"], sc_re.params,
-                            sc_re.shift)
-    stages["verify-re"] = re.to_json()
-    ok = ok and re.ok
-
-    sc_un = Scenario.stage(data, "verify-unitarity", vars)
-    un = verify_K_unitarity(sc_un.reps["V"], sc_un.twist, sc_un.shift,
-                            sc_un.params)
-    stages["verify-unitarity"] = un.to_json()
-    ok = ok and un.ok
-
-    return _report_exit(ok), {"pipeline": {"scenario": data["name"],
+    for name, (_, check) in _CHECKS.items():
+        report = check(sc.stage(name))
+        stages[name] = report.to_json()
+        ok = ok and report.ok
+    return _report_exit(ok), {"pipeline": {"scenario": sc.data["name"],
                                            "stages": stages, "ok": ok}}
 
 

@@ -1,5 +1,6 @@
 """K-matrices: QSP generator actions, intertwiner solve, normalization,
-reflection equations, unitarity, and grading conversion.
+the generalized reflection equation (the standard one is its case under the
+auxiliary twist, which fixes V and W), unitarity, and grading conversion.
 
 The intertwining system is K(z) · pi_{V,z}(b) = pi_{psi*(V),1/z}(b) · K(z)
 with b running over the coideal generators: all B_i, the X-subalgebra
@@ -152,6 +153,16 @@ def solve_K(rep: Rep, twist: TwistSpec, shift: GradingShift,
     return res
 
 
+def _gauge_hw(rep: Rep, twist: TwistSpec) -> tuple[int, list[Rat]]:
+    """The pseudo-highest-weight index lam of the module and the column
+    g v_lam of its gauge matrix."""
+    hw = ell_highest_indices(rep)
+    if len(hw) != 1:
+        raise AmbiguousNormalization(f"{len(hw)} pseudo-highest-weight vectors")
+    g = gauge_matrix(rep, twist)
+    return hw[0], [g[r, hw[0]] for r in range(rep.dim)]
+
+
 def normalize_K(res: KMatrixResult, rep: Rep) -> KMatrixResult:
     """Scale the kernel line so that K acts on the pseudo-highest-weight
     vector exactly as the gauge operator does; fall back (flagged) to a
@@ -159,12 +170,7 @@ def normalize_K(res: KMatrixResult, rep: Rep) -> KMatrixResult:
     K = res.matrix
     n = K.nrows
     try:
-        hw = ell_highest_indices(rep)
-        if len(hw) != 1:
-            raise AmbiguousNormalization(f"{len(hw)} pseudo-highest-weight vectors")
-        lam = hw[0]
-        g = gauge_matrix(rep, res.twist)
-        gv = [g[r, lam] for r in range(n)]
+        lam, gv = _gauge_hw(rep, res.twist)
         u = [K[r, lam] for r in range(n)]
         ref = next((r for r in range(n) if not u[r].is_zero()), None)
         if ref is None or gv[ref].is_zero():
@@ -188,15 +194,9 @@ def normalize_K_paired(res: KMatrixResult, source: Rep, source_twist: TwistSpec)
     """Normalization for the K-matrix of the pulled-back module, paired with
     the gauge normalization on the source: K'(g v_lam) = v_lam."""
     K = res.matrix
-    n = K.nrows
-    hw = ell_highest_indices(source)
-    if len(hw) != 1:
-        raise AmbiguousNormalization(f"{len(hw)} pseudo-highest-weight vectors")
-    lam = hw[0]
-    g = gauge_matrix(source, source_twist)
-    gv = [g[r, lam] for r in range(n)]
+    lam, gv = _gauge_hw(source, source_twist)
     u = K.mul_vec(gv)
-    if u[lam].is_zero() or any(not u[r].is_zero() for r in range(n) if r != lam):
+    if u[lam].is_zero() or any(not u[r].is_zero() for r in range(K.nrows) if r != lam):
         raise AmbiguousNormalization("paired condition not a scalar multiple")
     c = u[lam].inv()
     res.matrix = K.scale(c)
@@ -208,17 +208,27 @@ def verify_gre(V: Rep, W: Rep, twist: TwistSpec, shift: GradingShift,
                params: QSPParams,
                KV: KMatrixResult | None = None,
                KW: KMatrixResult | None = None) -> CheckReport:
-    """Exact check of the generalized reflection equation on V ⊗ W."""
+    """Exact check of the generalized reflection equation on V ⊗ W, solving
+    R once per distinct ordered pair of modules among V, W and their twists."""
     KV = KV if KV is not None else solve_K(V, twist, shift, params)
     KW = KW if KW is not None else solve_K(W, twist, shift, params)
     Vt, Wt = KV.realized.target, KW.realized.target
+    solved = []  # (X, Y, R(X, Y))
+
+    def R(X: Rep, Y: Rep) -> Mat:
+        for X0, Y0, m in solved:
+            if X0.same_module(X) and Y0.same_module(Y):
+                return m
+        solved.append((X, Y, solve_R(X, Y).matrix))
+        return solved[-1][2]
+
     woz = (w_var / z_var)
-    R_tt = permute(solve_R(Wt, Vt).matrix.substitute({"z": woz}),
-                   swap(Wt.dim, Vt.dim))
-    R_tW = solve_R(Vt, W).matrix.substitute({"z": z_var * w_var})
-    R_tV = permute(solve_R(Wt, V).matrix.substitute({"z": z_var * w_var}),
+    # R(V, W) first, so that a module the twist fixes reuses it
+    R_VW = R(V, W).substitute({"z": woz})
+    R_tt = permute(R(Wt, Vt).substitute({"z": woz}), swap(Wt.dim, Vt.dim))
+    R_tW = R(Vt, W).substitute({"z": z_var * w_var})
+    R_tV = permute(R(Wt, V).substitute({"z": z_var * w_var}),
                    swap(Wt.dim, V.dim))
-    R_VW = solve_R(V, W).matrix.substitute({"z": woz})
     Kv = kron(KV.matrix, Mat.identity(W.dim))
     Kw = kron(Mat.identity(V.dim), KW.matrix.substitute({"z": w_var}))
     return check_product([R_tt, Kw, R_tW, Kv], [Kv, R_tV, Kw, R_VW])
@@ -226,9 +236,9 @@ def verify_gre(V: Rep, W: Rep, twist: TwistSpec, shift: GradingShift,
 
 def verify_standard_re(V: Rep, W: Rep, params: QSPParams,
                        shift: GradingShift) -> CheckReport:
-    """Standard reflection equation via the auxiliary restricted-rank-one
-    twist; requires a restrictable diagram with tau equal to the auxiliary
-    automorphism, and modules fixed by the twist."""
+    """Standard reflection equation: the generalized one under the
+    auxiliary restricted-rank-one twist, which must fix V and W; requires a
+    restrictable diagram with tau equal to the auxiliary automorphism."""
     diagram = params.diagram
     if 0 in diagram.X or diagram.tau[0] != 0:
         raise NotRestrictable("need 0 not in X and tau(0) = 0")
@@ -238,23 +248,14 @@ def verify_standard_re(V: Rep, W: Rep, params: QSPParams,
         return CheckReport(False, "tau differs from the auxiliary automorphism; "
                                   "only the diagrammatic equation holds")
     twist = TwistSpec(diagram, "auxiliary", Y=y0.X)
-    # equal modules have equal K- and R-matrices: solve once
-    same = W.same_action(V) and W.weights == V.weights
+    # equal modules have equal K-matrices: solve once
     KV = solve_K(V, twist, shift, params)
-    KW = KV if same else solve_K(W, twist, shift, params)
+    KW = KV if W.same_module(V) else solve_K(W, twist, shift, params)
     for T, name in ((KV.realized, "V"), (KW.realized, "W")):
         if not T.target.same_action(T.source):
             return CheckReport(False, f"twist does not fix {name}; "
                                       "standard form unavailable")
-    woz = (w_var / z_var)
-    R_VW = solve_R(V, W).matrix
-    R_WV = R_VW if same else solve_R(W, V).matrix
-    Kv = kron(KV.matrix, Mat.identity(W.dim))
-    Kw = kron(Mat.identity(V.dim), KW.matrix.substitute({"z": w_var}))
-    R_21 = permute(R_WV, swap(W.dim, V.dim))
-    return check_product(
-        [R_21.substitute({"z": woz}), Kw, R_VW.substitute({"z": z_var * w_var}), Kv],
-        [Kv, R_21.substitute({"z": z_var * w_var}), Kw, R_VW.substitute({"z": woz})])
+    return verify_gre(V, W, twist, shift, params, KV, KW)
 
 
 def verify_K_unitarity(V: Rep, twist: TwistSpec, shift: GradingShift,

@@ -125,13 +125,6 @@ class Mat:
                         out[i][k] = out[i][k] + a * b
         return Mat(out)
 
-    def __mul__(self, other):
-        if isinstance(other, Mat):
-            return self @ other
-        return self.scale(other)
-
-    __rmul__ = scale
-
     def pow(self, n: int) -> "Mat":
         if self.nrows != self.ncols:
             raise ShapeMismatch("pow: not square")

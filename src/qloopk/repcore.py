@@ -49,6 +49,10 @@ class Rep:
         return all(self.E[i] == other.E[i] and self.F[i] == other.F[i]
                    and self.K[i] == other.K[i] for i in self.cartan.nodes)
 
+    def same_module(self, other: "Rep") -> bool:
+        """Same action and same weights: equal modules, whatever their labels."""
+        return self.same_action(other) and self.weights == other.weights
+
     def conjugated(self, C: Mat, label: str = "") -> "Rep":
         """The equivalent module with action x ↦ C x C^{-1}.
 
@@ -258,7 +262,7 @@ def tensor(v: Rep, w: Rep) -> Rep:
                f"({v.label})⊗({w.label})")
 
 
-def pullback_chevalley_tau(rep: Rep, tau, label: str = "") -> Rep:
+def pullback_chevalley_tau(rep: Rep, tau) -> Rep:
     """Pullback along ω ∘ τ (Chevalley involution composed with a diagram
     automorphism): E_i ↦ -F_{τ(i)}, F_i ↦ -E_{τ(i)}, K_i ↦ K_{τ(i)}^{-1}."""
     cd = rep.cartan
@@ -267,8 +271,7 @@ def pullback_chevalley_tau(rep: Rep, tau, label: str = "") -> Rep:
     F = {i: -rep.E[tau[i]] for i in cd.nodes}
     K = {i: rep.Kinv(tau[i]) for i in cd.nodes}
     weights = tuple(tuple(-wt[tau[i]] for i in cd.nodes) for wt in rep.weights)
-    return Rep(cd, rep.dim, E, F, K, weights,
-               label or f"(ωτ)*({rep.label})")
+    return Rep(cd, rep.dim, E, F, K, weights, f"(ωτ)*({rep.label})")
 
 
 def ell_highest_indices(rep: Rep) -> list[int]:

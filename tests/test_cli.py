@@ -1,9 +1,12 @@
 import json
+from collections import Counter
 
 import pytest
 
-from qloopk import scalars
-from qloopk.cli import main
+from qloopk import cli, kmat, scalars
+from qloopk.cli import Scenario, _load_scenario, main
+from qloopk.repcore import build_eval_rep_sl2
+from qloopk.scalars import Rat, one
 
 
 def run(capsys, *argv):
@@ -49,6 +52,11 @@ class TestUsageErrors:
          "--rep", "eval-sl2:1:b", "--vars", "1x=3"),
         ("rmatrix", "compute", "--rep", "eval-sl2:1:a",
          "--rep", "eval-sl2:1:b", "--vars", "a b=3"),
+        # a repeated name is rejected, not resolved to its last value
+        ("rmatrix", "compute", "--rep", "eval-sl2:1:a",
+         "--rep", "eval-sl2:1:b", "--vars", "a=2,a=3"),
+        ("rmatrix", "degeneration", "--rep", "eval-sl2:1:a",
+         "--rep", "eval-sl2:1:b", "--at", "b=q^2*a,z=1,z=2"),
     ], ids=" ".join)
     def test_exits_two(self, capsys, argv):
         assert main(list(argv)) == 2
@@ -222,3 +230,42 @@ class TestPipeline:
         data = json.loads(out)["pipeline"]
         assert data["ok"] is True
         assert all(s.get("ok", True) for s in data["stages"].values())
+
+    def test_solves_each_K_and_R_once(self, capsys, monkeypatch):
+        # solve-K's K is reused by verify-gre, which solves K_W and four R;
+        # verify-re solves one K and one R, verify-unitarity two K
+        calls = Counter()
+
+        def counted(name, solve):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return solve(*args, **kwargs)
+            return wrapper
+
+        for mod, name in ((cli, "solve_K"), (kmat, "solve_K"), (kmat, "solve_R")):
+            monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+        assert run(capsys, "pipeline", "run", "qonsager-sl2-fundamental")[0] == 0
+        assert calls == {"solve_K": 5, "solve_R": 5}
+
+    def test_stages_match_kmatrix(self, capsys):
+        code, out = run(capsys, "pipeline", "run", "qonsager-sl2-fundamental",
+                        "--vars", "g0=2")
+        assert code == 0
+        stages = json.loads(out)["pipeline"]["stages"]
+        for check, key in (("verify-gre", "gre"), ("verify-re", "re"),
+                           ("verify-unitarity", "k-unitarity")):
+            code, out = run(capsys, "kmatrix", check, "--vars", "g0=2")
+            assert json.loads(out)[key] == stages[check]
+
+
+class TestScenario:
+    def test_stage_without_vars_is_the_scenario(self):
+        sc = Scenario(_load_scenario("qonsager-sl2-fundamental"), {})
+        assert sc.stage("verify-gre") is sc
+        assert sc.stage("verify-re") is not sc
+
+    def test_vars_override_stage_vars(self):
+        sc = Scenario(_load_scenario("qonsager-sl2-fundamental"), {"a": Rat(2)})
+        st = sc.stage("verify-re")
+        assert st.reps["V"].same_module(build_eval_rep_sl2(1, Rat(2)))
+        assert st.reps["W"].same_module(build_eval_rep_sl2(1, one))

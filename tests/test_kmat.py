@@ -8,10 +8,12 @@ from qloopk.kmat import (AmbiguousNormalization, KernelDimension, KmatError,
                          NotRestrictable, check_intertwining, convert_grading,
                          gauge_matrix, qsp_generators, solve_K,
                          verify_K_unitarity, verify_gre, verify_standard_re)
-from qloopk.linalg import Mat
+from qloopk.linalg import Mat, kron, permute, swap
 from qloopk.repcore import build_eval_rep_sl2
-from qloopk.rootdata import (GradingShift, QSPParams, SatakeDiagram, affine_A)
-from qloopk.scalars import PoleAtPoint, Rat, const, one, parse, zero
+from qloopk.rmat import CheckReport, check_product, solve_R
+from qloopk.rootdata import (GradingShift, QSPParams, SatakeDiagram, affine_A,
+                             build_Y0)
+from qloopk.scalars import PoleAtPoint, Rat, const, one, parse, w, z, zero
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +122,23 @@ class TestGRE:
                                  o["shift"], o["params"])
         assert rep.detail == "B0 residual at (0,0): (q^2*z*s0 - z*s0)/(q)"
 
+    def test_twisted_modules_solved_apart(self, fund, fund_b, onsager, K_fund,
+                                          monkeypatch):
+        # the semi-standard twist moves both evaluation points, so V, W and
+        # their twisted modules are four distinct modules and need four R
+        from qloopk import kmat
+        o = onsager
+        pairs = []
+        monkeypatch.setattr(kmat, "solve_R",
+                            lambda X, Y: pairs.append((X, Y)) or solve_R(X, Y))
+        rep = verify_gre(fund, fund_b, o["twist"], o["shift"], o["params"],
+                         KV=K_fund)
+        assert rep.ok, rep.detail
+        assert len(pairs) == 4
+        assert not any(X.same_module(X0) and Y.same_module(Y0)
+                       for i, (X, Y) in enumerate(pairs)
+                       for X0, Y0 in pairs[:i])
+
 
 class TestStandardRE:
     def test_exact_at_selfdual_point(self, onsager):
@@ -175,6 +194,52 @@ class TestStandardRE:
         assert rep.detail == "twist does not fix V; standard form unavailable"
 
 
+def _auxiliary(diagram):
+    return TwistSpec(diagram, "auxiliary", Y=build_Y0(diagram).X)
+
+
+def _standard_re_reference(V, W, KV, KW):
+    """Differential oracle: the standard reflection equation
+    R_21(w/z) K_2(w) R(zw) K_1(z) = K_1(z) R_21(zw) K_2(w) R(w/z), with
+    R_21 the flipped R(W, V), written out independently of verify_gre."""
+    R_VW = solve_R(V, W).matrix
+    R_21 = permute(solve_R(W, V).matrix, swap(W.dim, V.dim))
+    Kv = kron(KV.matrix, Mat.identity(W.dim))
+    Kw = kron(Mat.identity(V.dim), KW.matrix.substitute({"z": w}))
+    return check_product(
+        [R_21.substitute({"z": w / z}), Kw, R_VW.substitute({"z": z * w}), Kv],
+        [Kv, R_21.substitute({"z": z * w}), Kw, R_VW.substitute({"z": w / z})])
+
+
+class TestStandardREOracle:
+    """verify_standard_re, which checks the generalized reflection equation
+    under the auxiliary twist, against the standard product written out."""
+
+    @pytest.mark.parametrize("spins", [(1, 1), (1, 2), (2, 2)],
+                             ids=["fund-fund", "fund-spin1", "spin1-spin1"])
+    def test_same_report(self, onsager, spins):
+        o = onsager
+        V, W = (build_eval_rep_sl2(s, one) for s in spins)
+        twist = _auxiliary(o["diagram"])
+        KV, KW = (solve_K(M, twist, o["shift"], o["params"]) for M in (V, W))
+        expected = _standard_re_reference(V, W, KV, KW)
+        assert expected == CheckReport(True)
+        assert verify_standard_re(V, W, o["params"], o["shift"]) == expected
+
+    def test_perturbed_K_same_detail(self, onsager):
+        o = onsager
+        V, W = build_eval_rep_sl2(1, one), build_eval_rep_sl2(2, one)
+        twist = _auxiliary(o["diagram"])
+        KV, KW = (solve_K(M, twist, o["shift"], o["params"]) for M in (V, W))
+        bad_m = Mat([row[:] for row in KV.matrix.data])
+        bad_m.data[0][0] = bad_m.data[0][0] + parse("z")
+        bad = dataclasses.replace(KV, matrix=bad_m)
+        expected = _standard_re_reference(V, W, bad, KW)
+        assert not expected.ok
+        assert verify_gre(V, W, twist, o["shift"], o["params"],
+                          bad, KW) == expected
+
+
 class TestSpin1Scenario:
     """The shipped spin-1 scenario, as ``kmatrix verify-gre`` and
     ``kmatrix verify-re`` build it."""
@@ -186,7 +251,7 @@ class TestSpin1Scenario:
         assert rep.ok, rep.detail
 
     def test_standard_re(self):
-        sc = Scenario.stage(_load_scenario("qonsager-sl2-spin1"), "verify-re", {})
+        sc = Scenario(_load_scenario("qonsager-sl2-spin1"), {}).stage("verify-re")
         rep = verify_standard_re(sc.reps["V"], sc.reps["W"], sc.params, sc.shift)
         assert rep.ok, rep.detail
 
