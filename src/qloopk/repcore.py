@@ -7,12 +7,18 @@ zero since the central charge acts trivially). Builders for the standard
 spin-j evaluation modules of the affine sl2 and the vector evaluation module
 of affine slN are provided; everything downstream only consumes the matrices,
 so further modules can be plugged in directly.
+
+The builders make each module from one unit-point module per (kind, size),
+built once: the evaluation point a enters only through E_0 = a·E_0° and
+F_0 = a⁻¹·F_0°, and the other matrices are the unit-point module's own.
+Modules are not written to after they are built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .linalg import Mat, kron
 from .rootdata import CartanDatum, DatumMismatch, affine_A
@@ -23,8 +29,18 @@ class RepError(Exception):
     pass
 
 
-@dataclass
+@dataclass(eq=False)
 class Rep:
+    """A module given by its generator matrices and basis weights.
+
+    ``point`` is the evaluation point a of a builder's module, whose node-0
+    matrices are a^{±1} times those of the unit-point module ``_unit``. Every
+    other module (twists, conjugates, pullbacks, tensors, and copies made by
+    ``dataclasses.replace``) has ``point = 1`` and is its own unit-point
+    module. Equality and hashing are by identity; :meth:`same_action` and
+    :meth:`same_module` compare modules.
+    """
+
     cartan: CartanDatum
     dim: int
     E: dict[int, Mat]
@@ -32,7 +48,14 @@ class Rep:
     K: dict[int, Mat]
     weights: tuple[tuple[Fraction, ...], ...]  # weights[k][i] = lambda_k(h_i)
     label: str = ""
-    _Kinv: dict[int, Mat] = field(default_factory=dict, repr=False)
+    point: Rat = field(default=one, init=False)
+    _unit: "Rep | None" = field(default=None, init=False, repr=False)
+    _Kinv: dict[int, Mat] = field(default_factory=dict, init=False, repr=False)
+
+    @property
+    def unit(self) -> "Rep":
+        """The module at evaluation point 1 that this one rescales."""
+        return self._unit or self
 
     def Kinv(self, i: int) -> Mat:
         if i not in self._Kinv:
@@ -105,6 +128,25 @@ def _weights_from_K(cartan: CartanDatum, K: dict[int, Mat], dim: int):
     return tuple(weights)
 
 
+def _evaluation_point(a) -> Rat:
+    a = a if isinstance(a, Rat) else Rat(a)
+    if a.is_zero():
+        raise RepError("evaluation point must be nonzero")
+    if a.names() & {"z", "w"}:
+        raise RepError("evaluation point must not involve the spectral "
+                       "variables z and w")
+    return a
+
+
+def _at_point(unit: Rep, a: Rat, label: str) -> Rep:
+    """``unit`` at evaluation point ``a``: E_0 = a·E_0°, F_0 = a⁻¹·F_0°."""
+    rep = Rep(unit.cartan, unit.dim, {**unit.E, 0: unit.E[0].scale(a)},
+              {**unit.F, 0: unit.F[0].scale(a.inv())}, dict(unit.K),
+              unit.weights, label)
+    rep.point, rep._unit = a, unit
+    return rep
+
+
 def build_eval_rep_sl2(spin2: int, a) -> Rep:
     """Spin-j evaluation module of affine sl2, spin2 = 2j, point ``a``.
 
@@ -113,9 +155,12 @@ def build_eval_rep_sl2(spin2: int, a) -> Rep:
     """
     if spin2 < 0:
         raise RepError("spin2 must be nonnegative")
-    a = a if isinstance(a, Rat) else Rat(a)
-    if a.is_zero():
-        raise RepError("evaluation point must be nonzero")
+    a = _evaluation_point(a)
+    return _at_point(_unit_eval_sl2(spin2), a, f"sl2-spin{spin2}/2(a={a})")
+
+
+@lru_cache(maxsize=None)
+def _unit_eval_sl2(spin2: int) -> Rep:
     cd = affine_A(1)
     n = spin2 + 1
     E1 = Mat.zeros(n)
@@ -126,27 +171,28 @@ def build_eval_rep_sl2(spin2: int, a) -> Rep:
         if k + 1 < n:
             F1.data[k + 1][k] = q_int(spin2 - k)
     K1 = Mat.diagonal([_q_power(spin2 - 2 * k) for k in range(n)])
-    E0 = F1.scale(a)
-    F0 = E1.scale(a.inv())
     K0 = Mat.diagonal([_q_power(2 * k - spin2) for k in range(n)])
     weights = tuple((Fraction(2 * k - spin2), Fraction(spin2 - 2 * k))
                     for k in range(n))
-    return Rep(cd, n, {0: E0, 1: E1}, {0: F0, 1: F1}, {0: K0, 1: K1},
-               weights, f"sl2-spin{spin2}/2(a={a})")
+    return Rep(cd, n, {0: F1, 1: E1}, {0: E1, 1: F1}, {0: K0, 1: K1},
+               weights, f"sl2-spin{spin2}/2(a=1)")
 
 
 def build_vector_rep_slN_eval(N: int, a) -> Rep:
     """Vector evaluation module of affine slN on basis e_1..e_N."""
     if N < 2:
         raise RepError("N >= 2 required")
-    a = a if isinstance(a, Rat) else Rat(a)
-    if a.is_zero():
-        raise RepError("evaluation point must be nonzero")
+    a = _evaluation_point(a)
+    return _at_point(_unit_vector_slN(N), a, f"sl{N}-vector(a={a})")
+
+
+@lru_cache(maxsize=None)
+def _unit_vector_slN(N: int) -> Rep:
     cd = affine_A(N - 1)
     E = {i: Mat.unit(N, N, i - 1, i) for i in range(1, N)}
     F = {i: Mat.unit(N, N, i, i - 1) for i in range(1, N)}
-    E[0] = Mat.unit(N, N, N - 1, 0).scale(a)
-    F[0] = Mat.unit(N, N, 0, N - 1).scale(a.inv())
+    E[0] = Mat.unit(N, N, N - 1, 0)
+    F[0] = Mat.unit(N, N, 0, N - 1)
     weights = []
     for k in range(1, N + 1):
         row = [Fraction((1 if k == N else 0) - (1 if k == 1 else 0))]
@@ -154,7 +200,7 @@ def build_vector_rep_slN_eval(N: int, a) -> Rep:
             row.append(Fraction((1 if k == i else 0) - (1 if k == i + 1 else 0)))
         weights.append(tuple(row))
     K = {i: Mat.diagonal([_q_power(w[i]) for w in weights]) for i in cd.nodes}
-    return Rep(cd, N, E, F, K, tuple(weights), f"sl{N}-vector(a={a})")
+    return Rep(cd, N, E, F, K, tuple(weights), f"sl{N}-vector(a=1)")
 
 
 def build_rep(spec: dict) -> Rep:

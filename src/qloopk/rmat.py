@@ -6,11 +6,24 @@ grading shift (z on the affine node only), and takes the kernel with
 linalg.intertwiner_kernel. Unknowns are restricted to entries connecting equal
 classical-weight classes, which the K-generator conditions force anyway; this
 keeps the sl3 system at 15 unknowns instead of 81.
+
+R depends on the evaluation points a of V and b of W only through z·b/a
+(Jimbo, Commun. Math. Phys. 102 (1986)), so :func:`solve_R` eliminates only
+the pair of unit-point modules (:attr:`Rep.unit`), once per pair in a small
+memo, and maps that solution by z ↦ z·b/a. The result is exact. Under the
+coproduct, each equation of V_a ⊗ W_{b,z} is a^{±1} times the equation of
+V_1 ⊗ W_{1,u} at u = z·b/a, and nothing else depends on a, b or z. The
+builders reject points that involve z or w, so u ↦ z·b/a is an injective
+map of fields: kernel dimension, the highest-weight pivot and the scaling
+carry over, and every entry is the canonical fraction a direct solve gives.
+Modules that are not builder output have point 1 and are solved as they
+are; their action must not involve z or w either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .linalg import (Mat, intertwiner_kernel, kron, permute, product_residual,
                      rank, swap)
@@ -57,9 +70,20 @@ def _tensor_weight_classes(v: Rep, w: Rep) -> dict[tuple, list[int]]:
 
 
 def solve_R(v: Rep, w: Rep) -> RMatrixResult:
-    """Solve for the rational R-matrix, normalized on the highest-weight
-    tensor vector. Raises KernelDimension if the solution space is not a
-    line, NoHighestWeightVector if the weight-maximal block is not 1-dim."""
+    """Solve for the R-matrix, normalized on the highest-weight tensor
+    vector: the unit-point solution at z·b/a for points a of V and b of W.
+    Raises KernelDimension if the solution space is not a line,
+    NoHighestWeightVector if the weight-maximal block is not 1-dim."""
+    res = _solve_unit(v.unit, w.unit)
+    at = {"z": z_var * w.point / v.point}
+    return RMatrixResult(res.matrix.substitute(at), res.kernel_dim,
+                         res.hw_index, res.scalar.substitute(at))
+
+
+@lru_cache(maxsize=16)
+def _solve_unit(v: Rep, w: Rep) -> RMatrixResult:
+    """The intertwiner solve itself; the memo is keyed on module identity
+    and never hands out its matrix (solve_R substitutes into a copy)."""
     n = v.dim * w.dim
     classes = _tensor_weight_classes(v, w)
     # unknowns: (r, c) with equal class

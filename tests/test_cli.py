@@ -57,6 +57,14 @@ class TestUsageErrors:
          "--rep", "eval-sl2:1:b", "--vars", "a=2,a=3"),
         ("rmatrix", "degeneration", "--rep", "eval-sl2:1:a",
          "--rep", "eval-sl2:1:b", "--at", "b=q^2*a,z=1,z=2"),
+        # an evaluation point that involves the spectral variables z or w
+        ("rmatrix", "compute", "--rep", "eval-sl2:1:z",
+         "--rep", "eval-sl2:1:q^2"),
+        ("rmatrix", "compute", "--rep", "eval-sl2:2:z",
+         "--rep", "eval-sl2:2:q^2"),
+        ("rmatrix", "compute", "--rep", "eval-sl2:2:z",
+         "--rep", "eval-sl2:2:q^4"),
+        ("rep", "build", "--rep", "eval-vector:3:w*a"),
     ], ids=" ".join)
     def test_exits_two(self, capsys, argv):
         assert main(list(argv)) == 2

@@ -32,6 +32,8 @@ CASES = [
     ("rmatrix", "compute", *SL2_AB),
     ("rmatrix", "compute", *SL2_AB, "--vars", "a=2"),
     ("rmatrix", "verify-ybe", *SL2_AB, "--rep", "eval-sl2:1:c"),
+    ("rmatrix", "verify-ybe", "--rep", "eval-sl2:2:a", "--rep", "eval-sl2:2:b",
+     "--rep", "eval-sl2:2:c"),
     ("rmatrix", "verify-unitarity", *SL2_AB),
     ("rmatrix", "degeneration", *SL2_AB, "--at", "b=q^2*a,z=1"),
     ("kmatrix", "compute", *FUND),

@@ -7,7 +7,7 @@ from qloopk.repcore import (RepError, build_eval_rep_sl2, build_rep,
                             build_vector_rep_slN_eval, coproduct,
                             ell_highest_indices, pullback_chevalley_tau,
                             tensor, verify_relations)
-from qloopk.scalars import Rat, const, one, q, zero
+from qloopk.scalars import Rat, const, one, parse, q, zero
 
 
 class TestBuilders:
@@ -39,6 +39,38 @@ class TestBuilders:
         assert r.dim == 3
         with pytest.raises(RepError):
             build_rep({"kind": "mystery"})
+
+    @pytest.mark.parametrize("build", [
+        lambda x: build_eval_rep_sl2(1, x),
+        lambda x: build_vector_rep_slN_eval(3, x)], ids=["sl2", "sl3"])
+    def test_unit_point_module(self, a, b, build):
+        V, W = build(a), build(b)
+        assert V.point == a and W.point == b
+        unit = V.unit
+        assert W.unit is unit and unit.unit is unit and unit.point == one
+        assert V.E[0] == unit.E[0].scale(a) and V.F[0] == unit.F[0].scale(a.inv())
+        for i in V.cartan.nodes[1:]:
+            assert V.E[i] == unit.E[i] and V.F[i] == unit.F[i]
+        assert build(one).same_module(unit)
+
+    @pytest.mark.parametrize("point", ["z", "w", "z*a", "1 + w", "q^2*z"])
+    def test_point_must_not_involve_spectral_variables(self, a, point):
+        x = parse(point)
+        for build in (lambda: build_eval_rep_sl2(1, x),
+                      lambda: build_vector_rep_slN_eval(3, x)):
+            with pytest.raises(RepError, match="spectral"):
+                build()
+
+    def test_equality_is_identity(self, a):
+        V, W = build_eval_rep_sl2(1, a), build_eval_rep_sl2(1, a)
+        assert V == V and V != W and V.same_module(W)
+        W.Kinv(0)  # fills a cache, which must not change the comparison
+        assert V != W and len({V, W, V}) == 2
+
+    def test_replaced_module_is_its_own_unit(self, fund):
+        import dataclasses
+        copy = dataclasses.replace(fund, E=dict(fund.E))
+        assert copy.unit is copy and copy.point == one
 
     def test_central_K_product_is_identity(self, fund, spin1, vec3):
         for rep in (fund, spin1, vec3):

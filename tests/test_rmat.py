@@ -1,9 +1,11 @@
 import pytest
 
-from qloopk.linalg import Mat, kron
+from qloopk import cli, rmat
+from qloopk.linalg import Mat, intertwiner_kernel, kron
 from qloopk.repcore import build_eval_rep_sl2, build_vector_rep_slN_eval, coproduct
-from qloopk.rmat import (KernelDimension, _r13, detect_degeneration, solve_R,
-                         verify_R_unitarity, verify_YBE)
+from qloopk.rmat import (KernelDimension, NoHighestWeightVector, RMatrixResult,
+                         _r13, _tensor_weight_classes, detect_degeneration,
+                         solve_R, verify_R_unitarity, verify_YBE)
 from qloopk.scalars import Rat, const, one, parse, q, z
 
 
@@ -116,3 +118,124 @@ class TestDegeneration:
         kind = detect_degeneration(fund, fund_b, {"b": a, "z": q},
                                    R=R_fund.matrix)
         assert kind == "regular-invertible"
+
+
+def _solve_R_reference(v, w) -> RMatrixResult:
+    """The intertwiner solve at the modules' own points, with no memo and no
+    substitution: solve_R as it was before it solved at the unit point."""
+    n = v.dim * w.dim
+    classes = _tensor_weight_classes(v, w)
+    unk: dict[tuple[int, int], int] = {}
+    for members in classes.values():
+        for r in members:
+            for c in members:
+                unk[(r, c)] = len(unk)
+    pairs = []
+    for i in v.cartan.nodes:
+        pairs += zip(coproduct(v, w, i, z=z), coproduct(v, w, i, op=True, z=z))
+    kernel = intertwiner_kernel(pairs, unk)
+    if len(kernel) != 1:
+        raise KernelDimension(len(kernel))
+    sol = kernel[0]
+    R = Mat.zeros(n)
+    for (r, c), u in unk.items():
+        R.data[r][c] = sol[u]
+    top = max(classes, key=lambda cw: (sum(cw), cw))
+    block = classes[top]
+    if len(block) != 1:
+        raise NoHighestWeightVector(
+            f"weight-maximal block has dimension {len(block)}")
+    hw = block[0]
+    pivot = R[hw, hw]
+    if pivot.is_zero():
+        raise NoHighestWeightVector("solution vanishes on the highest-weight vector")
+    scalar = pivot.inv()
+    return RMatrixResult(R.scale(scalar), 1, hw, scalar)
+
+
+MODULES = {
+    "spin1/2": lambda x: build_eval_rep_sl2(1, x),
+    "spin1": lambda x: build_eval_rep_sl2(2, x),
+    "spin3/2": lambda x: build_eval_rep_sl2(3, x),
+    "sl3": lambda x: build_vector_rep_slN_eval(3, x),
+    "sl4": lambda x: build_vector_rep_slN_eval(4, x),
+}
+
+POINTS = {
+    "a,b": lambda a, b: (a, b),
+    "a,a": lambda a, b: (a, a),
+    "b,a": lambda a, b: (b, a),
+    "2,3": lambda a, b: (Rat(2), Rat(3)),
+    "a,q^2a": lambda a, b: (a, q ** 2 * a),
+    "1+q,b": lambda a, b: (1 + q, b),
+}
+
+
+class TestUnitPointOracle:
+    """solve_R, which eliminates at the unit point and substitutes
+    z ↦ z·b/a, against the direct solve at the modules' own points."""
+
+    @pytest.mark.parametrize("point", POINTS)
+    @pytest.mark.parametrize("module", MODULES)
+    def test_matches_direct_solve(self, a, b, module, point):
+        x, y = POINTS[point](a, b)
+        V, W = MODULES[module](x), MODULES[module](y)
+        assert solve_R(V, W).to_json() == _solve_R_reference(V, W).to_json()
+
+    def test_mixed_modules(self, a, b):
+        V, W = build_eval_rep_sl2(1, a), build_eval_rep_sl2(2, b)
+        for X, Y in ((V, W), (W, V)):
+            assert solve_R(X, Y).to_json() == _solve_R_reference(X, Y).to_json()
+
+
+class TestUnitPointMemo:
+    def test_returned_matrix_is_a_copy(self, a, b):
+        V, W = build_eval_rep_sl2(1, a), build_eval_rep_sl2(1, b)
+        first = solve_R(V, W)
+        expected = first.to_json()
+        first.matrix.data[0][0] = Rat(7)
+        first.matrix.data[1][2] = q
+        assert solve_R(V, W).to_json() == expected
+
+    def test_independent_of_registrations_and_memo(self, a, b):
+        V, W = build_eval_rep_sl2(2, a), build_eval_rep_sl2(2, b)
+        before = solve_R(V, W).to_json()
+        const("unit_point_memo_probe")  # rebuilds the field
+        after = solve_R(V, W).to_json()  # a memo hit
+        rmat._solve_unit.cache_clear()
+        cold = solve_R(V, W).to_json()  # a memo miss
+        assert before == after == cold == _solve_R_reference(V, W).to_json()
+
+    @pytest.fixture
+    def eliminations(self, monkeypatch):
+        """Count the intertwiner eliminations of rmat, from an empty memo."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return intertwiner_kernel(*args)
+
+        rmat._solve_unit.cache_clear()
+        monkeypatch.setattr(rmat, "intertwiner_kernel", counted)
+        return calls
+
+    def test_sl3_ybe_eliminates_once(self, a, b, eliminations):
+        c = const("c")
+        reps = [build_vector_rep_slN_eval(3, x) for x in (a, b, c)]
+        assert verify_YBE(*reps).ok
+        assert len(eliminations) == 1
+
+    def test_cli_spin1_ybe_eliminates_once(self, capsys, eliminations):
+        assert cli.main(["rmatrix", "verify-ybe", "--rep", "eval-sl2:2:a",
+                         "--rep", "eval-sl2:2:b", "--rep", "eval-sl2:2:c"]) == 0
+        assert '"ok": true' in capsys.readouterr().out
+        assert len(eliminations) == 1
+
+    @pytest.mark.parametrize("scenario", ["qonsager-sl2-fundamental",
+                                          "qonsager-sl2-spin1"])
+    def test_pipeline_eliminates_four(self, capsys, eliminations, scenario):
+        # verify-gre solves R for four module pairs; verify-re's R(V_1, W_1)
+        # is the unit-point solve behind verify-gre's R(V_a, W_b)
+        cli.main(["pipeline", "run", scenario])
+        capsys.readouterr()
+        assert len(eliminations) == 4
