@@ -18,13 +18,24 @@ have an n^2 x n^2 minor that is nonzero modulo ELL, hence nonzero over
 Q(p, z, w, ...), and the generic closure is full. A non-full image proves
 nothing; the exact closure then decides.
 
-The closure over F_ELL (_full_mod) runs on Python ints: flat row-major
-matrices, generators stored by the nonzeros of their rows, and elimination
-over Z that takes a residue only where one is tested (the coefficient at a
-pivot) or stored (a new span row). That is exact, because every step is a
-ring operation over Z and reduction modulo ELL commutes with them. It costs
-O(n^6) integer operations at worst; on the sparse generators of the tensor
-checks, about 0.1-0.2 s at n = 16 and 1 s at n = 25.
+_full_mod decides whether the images generate M_n(F_ELL), on Python ints.
+When a generator is diagonal with a value lambda at exactly one index k,
+theta = g - lambda I has nullity 1 and its kernel and that of its transpose
+are spanned by e_k; by Norton's criterion (the MeatAxe: R. A. Parker, 1984;
+D. F. Holt and S. Rees, J. Austral. Math. Soc. A 57, 1994) the module is
+irreducible iff e_k spins to F_ELL^n under the generators and under their
+transposes. Nullity 1 makes it absolutely irreducible (its endomorphism
+field preserves the line ker theta, so is F_ELL), and by Burnside the
+images then generate M_n(F_ELL): the two spins decide exactly, in O(n^3)
+integer operations. The tensor checks' generator sets have such a g:
+K_i (x) K_i, whose top weight is simple.
+
+Otherwise the closure of the images is spanned: flat row-major matrices,
+generators stored by the nonzeros of their rows, and elimination over Z
+that takes a residue only where one is tested (the coefficient at a pivot)
+or stored (a new span row). That is exact, because every step is a ring
+operation over Z and reduction modulo ELL commutes with them. It costs
+O(n^6) integer operations at worst.
 """
 
 from __future__ import annotations
@@ -32,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .kmat import deformation_terms
-from .linalg import Mat, SpanBasis, algebra_closure, kron
+from .linalg import Mat, SpanBasis, algebra_closure, kron, square_size
 from .repcore import Rep, coproduct
 from .rootdata import GradingShift, QSPParams
 from .scalars import PoleAtPoint, Rat, one, z as z_var, zero
@@ -112,9 +123,12 @@ def _specialized_full(mats: list[Mat], n: int) -> bool:
     modulo ELL, hence nonzero over Q(p, z, w, ...): the generic closure is
     full. A non-full answer proves nothing. An attempt at which a denominator
     vanishes modulo ELL is skipped. The point depends only on the names that
-    occur, not on which other constants are registered.
+    occur, not on which other constants are registered. Only nonzero entries
+    are evaluated: a zero has denominator 1 and residue 0.
     """
-    occurring = {nm for m in mats for row in m.data for x in row
+    nonzero = [[(i, j, x) for i, row in enumerate(m.data)
+                for j, x in enumerate(row) if not x.is_zero()] for m in mats]
+    occurring = {nm for entries in nonzero for _, _, x in entries
                  for nm in x.names()}
     names = ["p", "z", "w"] + sorted(occurring - {"p", "z", "w"})
     primes = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
@@ -124,9 +138,13 @@ def _specialized_full(mats: list[Mat], n: int) -> bool:
         scale = pow(2 + attempt, -1, ELL)
         point = {nm: primes[(k + attempt) % len(primes)] * scale % ELL
                  for k, nm in enumerate(names)}
+        gens = []
         try:
-            gens = [[[x.residue(point, ELL) for x in row] for row in m.data]
-                    for m in mats]
+            for entries in nonzero:
+                g = [[0] * n for _ in range(n)]
+                for i, j, x in entries:
+                    g[i][j] = x.residue(point, ELL)
+                gens.append(g)
         except PoleAtPoint:
             continue
         if _full_mod(gens, n):
@@ -135,23 +153,66 @@ def _specialized_full(mats: list[Mat], n: int) -> bool:
 
 
 def _full_mod(gens: list[list[list[int]]], n: int) -> bool:
-    """Whether the unital algebra generated by the n x n matrices ``gens``
-    over F_ELL is all of M_n(F_ELL); the closure of
-    linalg.algebra_closure, on plain ints.
+    """Whether the unital algebra A generated by the n x n matrices ``gens``
+    over F_ELL is all of M_n(F_ELL).
 
-    Breadth-first over words: each new element of the span is multiplied
+    Norton's decision, when some generator g is diagonal with a value
+    lambda that occurs at exactly one index k: theta = g - lambda I lies in
+    A and has nullity 1, and both ker theta and ker theta^T are spanned by
+    e_k. Norton's criterion: M = F_ELL^n is an irreducible A-module iff e_k
+    spins to M under A and under A^T. (A proper submodule U on which theta
+    is singular meets ker theta, so contains e_k; if theta is invertible on
+    U it is singular on M/U, so U's annihilator, an A^T-submodule of the
+    dual, contains e_k.) Then D = End_A(M) is a finite field preserving the
+    line ker theta, so D = F_ELL, M is absolutely irreducible, and by
+    Burnside A = M_n(F_ELL). Conversely A = M_n(F_ELL) spins every nonzero
+    vector to M both ways. So the two spins decide exactly, in O(n^3)
+    integer operations per generator.
+
+    Otherwise the closure of linalg.algebra_closure runs, on plain ints:
+    breadth-first over words, each new element of the span is multiplied
     on the right by every generator and the product echelon-reduced
-    against the span, until a round adds nothing or the span is full (no
-    product is formed after that). A product takes one ``% ELL`` per entry.
-    Elimination subtracts over Z and reduces only the coefficient it tests
-    at each pivot and the row it stores; that is exact, because only
-    residues are ever tested. At most n^2 * len(gens) products are each
-    reduced against at most n^2 rows of length n^2: O(n^6) integer
-    operations. Span rows are kept by their nonzeros, so on the sparse
-    generators of a tensor check it takes about 0.1-0.2 s at n = 16 and
-    1 s at n = 25 on a 2-vCPU VM.
+    against the span, until a round adds nothing or the span is full. At
+    most n^2 * len(gens) products are each reduced against at most n^2
+    rows of length n^2: O(n^6) integer operations, about 0.1-0.2 s at
+    n = 16 and 1 s at n = 25 on a 2-vCPU VM.
     """
-    full = n * n
+    def nonzeros(m):
+        # the nonzero (column, residue) pairs of each row of m
+        return [[(c, y % ELL) for c, y in enumerate(row) if y % ELL]
+                for row in m]
+
+    sparse = [nonzeros(g) for g in gens]
+    for sg in sparse:
+        if any(c != i for i, row in enumerate(sg) for c, _ in row):
+            continue
+        diag = [dict(row).get(i, 0) for i, row in enumerate(sg)]
+        simple = [k for k, d in enumerate(diag) if diag.count(d) == 1]
+        if simple:
+            e = [int(i == simple[0]) for i in range(n)]
+            # row vectors: e.g^T is g e, and e.g is g^T e
+            transposed = [nonzeros(zip(*g)) for g in gens]
+            return (_spans_all([e], transposed, n)
+                    and _spans_all([e], sparse, n))
+    identity = [int(k % (n + 1) == 0) for k in range(n * n)]
+    flat = [[x for row in g for x in row] for g in gens]
+    return _spans_all([identity] + flat, sparse, n)
+
+
+def _spans_all(seeds: list[list[int]], sparse, n: int) -> bool:
+    """Whether the seeds and their right multiples by words in the
+    generators span all of F_ELL^d, d = len(seed): row vectors (d = n) or
+    flat row-major n x n matrices (d = n^2). A generator is given by the
+    nonzero (column, value) pairs of each of its rows.
+
+    Breadth-first: each vector that enlarges the span is multiplied by
+    every generator in the next round, until a round adds nothing or the
+    span is full (no product is formed after that). A product takes one
+    ``% ELL`` per entry. Elimination subtracts over Z and reduces only the
+    coefficient it tests at each pivot and the row it stores; that is
+    exact, because only residues are ever tested.
+    """
+    full = len(seeds[0])
     # pivot j -> the nonzero (k, residue) pairs, k > j, of a span row that
     # is 1 at j and 0 before it (on the tensor checks' generators, at most
     # 10-20% of the n^2 entries of a row are nonzero)
@@ -173,12 +234,8 @@ def _full_mod(gens: list[list[list[int]]], n: int) -> bool:
                 v[k] -= c * y
         return False
 
-    # each generator as the nonzero (column, value) pairs of each of its
-    # rows, so that b.g adds b[i, k] * y to out[i, c] over the pairs of row k
-    sparse = [[[(c, y) for c, y in enumerate(row) if y] for row in g]
-              for g in gens]
-
     def mul(b: list[int], g) -> list[int]:
+        # b.g adds b[i, k] * y to out[i, c] over the pairs (c, y) of row k
         out = [0] * full
         for i in range(0, full, n):
             for k, row in enumerate(g):
@@ -188,9 +245,7 @@ def _full_mod(gens: list[list[list[int]]], n: int) -> bool:
                         out[i + c] += x * y
         return [x % ELL for x in out]
 
-    identity = [int(k % (n + 1) == 0) for k in range(full)]
-    flat = [[x for row in g for x in row] for g in gens]
-    frontier = [m for m in [identity] + flat if add(m)]
+    frontier = [m for m in seeds if add(m)]
     while frontier:
         grown = []
         for b in frontier:
@@ -208,7 +263,7 @@ def check_irreducible(mats: list[Mat]) -> IrredVerdict:
     algebra is all of End(V). Fullness is decided exactly; non-fullness
     triggers an invariant-subspace search instead of a reducibility claim
     (over a non-closed field non-fullness alone proves nothing)."""
-    n = mats[0].nrows
+    n = square_size(mats)
     if _specialized_full(mats, n):
         return IrredVerdict(True, n, n * n,
                             detail="full closure (constant specialization)")

@@ -436,6 +436,17 @@ def intertwiner_kernel(pairs: list[tuple[Mat, Mat]],
     return span.nullspace()
 
 
+def square_size(mats: list[Mat]) -> int:
+    """The common size n of the n x n generators ``mats``."""
+    if not mats:
+        raise LinalgError("no generators")
+    n = mats[0].nrows
+    for m in mats:
+        if m.shape() != (n, n):
+            raise ShapeMismatch("generators must be square of equal size")
+    return n
+
+
 def algebra_closure(mats: list[Mat]) -> SpanBasis:
     """Echelon basis of the unital matrix algebra generated by ``mats``.
 
@@ -443,12 +454,7 @@ def algebra_closure(mats: list[Mat]) -> SpanBasis:
     until the span stabilizes or has dimension n^2, all of M_n; no product
     is formed after that.
     """
-    if not mats:
-        raise LinalgError("no generators")
-    n = mats[0].nrows
-    for m in mats:
-        if m.shape() != (n, n):
-            raise ShapeMismatch("generators must be square of equal size")
+    n = square_size(mats)
     span = SpanBasis(n * n)
 
     def vec(m: Mat):

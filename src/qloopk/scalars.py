@@ -376,6 +376,7 @@ class Rat:
         """Evaluate at a partial assignment of variables/constants.
 
         Raises PoleAtPoint if the (reduced) denominator vanishes there.
+        Zero comes back as is, once the keys are checked.
         """
         vals = {}
         for k, v in assignments.items():
@@ -385,7 +386,7 @@ class Rat:
                 raise ValueError("substitute p, not q")
             if k in _index:
                 vals[_index[k]] = _frac(v)
-        if not vals:
+        if not vals or self.is_zero():
             return self
         f = _frac(self)
         if len(vals) == 1:

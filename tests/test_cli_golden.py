@@ -47,6 +47,8 @@ CASES = [
     ("irred", "check", *SL2_AB, "--mode", "tensor"),
     ("irred", "check", "--rep", "eval-sl2:2:a", "--rep", "eval-sl2:2:b",
      "--mode", "tensor"),
+    ("irred", "check", "--rep", "eval-sl2:5:a", "--rep", "eval-sl2:5:b",
+     "--mode", "tensor"),
     ("pipeline", "run", "qonsager-sl2-fundamental"),
     ("kmatrix", "compute", "--scenario", "qonsager-sl2-spin1"),
     ("--output", "latex", "rmatrix", "compute", *SL2_AB),

@@ -8,7 +8,7 @@ from qloopk.irred import (DeformationNotUpper, check_generic_tensor_irreducible,
                           check_irreducible,
                           check_modified_nilpotent_irreducible,
                           qsp_deformations)
-from qloopk.linalg import Mat
+from qloopk.linalg import LinalgError, Mat, ShapeMismatch
 from qloopk.repcore import build_eval_rep_sl2
 from qloopk.rootdata import (GradingShift, QSPParams, SatakeDiagram, affine_A,
                              shift_exponent, theta_on_roots)
@@ -74,6 +74,18 @@ class TestBurnside:
         assert v.irreducible is (exact.dim == 4)
         assert v.closure_dim == exact.dim
         assert "constant specialization" not in v.detail
+
+    def test_no_generators(self):
+        with pytest.raises(LinalgError, match="no generators"):
+            check_irreducible([])
+
+    @pytest.mark.parametrize("other", [
+        Mat.identity(3),
+        Mat([[one, zero, zero], [zero, one, zero]]),
+    ], ids=["3x3", "2x3"])
+    def test_mixed_shapes(self, other):
+        with pytest.raises(ShapeMismatch):
+            check_irreducible([Mat.identity(2), other])
 
     def test_one_dimensional(self):
         v = check_irreducible([Mat([[Rat(7)]])])
@@ -355,3 +367,82 @@ class TestFullModOracle:
         assert _full_mod_reference(gens, n) is True
         monkeypatch.undo()
         assert irred._full_mod(gens, n) is True
+
+
+def _spying(monkeypatch):
+    """Record (vector length, result) of each irred._spans_all call: length
+    n for a Norton spin, n^2 for the closure."""
+    calls = []
+    spans_all = irred._spans_all
+
+    def spy(seeds, sparse, n):
+        out = spans_all(seeds, sparse, n)
+        calls.append((len(seeds[0]), out))
+        return out
+
+    monkeypatch.setattr(irred, "_spans_all", spy)
+    return calls
+
+
+@st.composite
+def _mixed_generators(draw):
+    """1-4 n x n generators, n = 1-5: diagonal ones, whose values repeat
+    often, among dense ones. When k > 0 the dense ones are zero in the rows
+    >= k and columns < k, so every generator keeps span(e_0..e_{k-1}), or
+    they are the transposes of such, keeping span(e_k..e_{n-1})."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(0, n - 1))
+    lower = draw(st.booleans())
+    # diagonal values drawn freely, or from a pool of at most n residues
+    values = st.one_of(
+        st.lists(_RESIDUE, min_size=n, max_size=n),
+        st.lists(_RESIDUE, min_size=1, max_size=n).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), min_size=n,
+                                  max_size=n)))
+    diagonal = values.map(lambda d: [[d[i] if i == j else 0
+                                      for j in range(n)] for i in range(n)])
+    block = st.lists(_RESIDUE, min_size=n * n, max_size=n * n).map(
+        lambda e: _upper_block(n, k, e)).map(
+        lambda m: [list(col) for col in zip(*m)] if lower else m)
+    return n, k, draw(st.lists(st.one_of(diagonal, block),
+                               min_size=1, max_size=4))
+
+
+class TestNorton:
+    @settings(max_examples=150, deadline=None)
+    @given(_mixed_generators())
+    def test_matches_reference(self, case):
+        n, k, gens = case
+        ref = _full_mod_reference(gens, n)
+        assert irred._full_mod(gens, n) is ref
+        if k:
+            assert ref is False
+
+    def test_only_the_transposed_spin_rejects(self, monkeypatch):
+        # lower triangular: e_0 spins to F^2 under the generators, but under
+        # their transposes it stays on its line
+        gens = [[[1, 0], [0, 2]], [[0, 0], [1, 0]]]
+        calls = _spying(monkeypatch)
+        assert _full_mod_reference(gens, 2) is False
+        assert irred._full_mod(gens, 2) is False
+        assert calls == [(2, True), (2, False)]
+
+    def test_repeated_value_is_no_certificate(self, monkeypatch):
+        # I and a rotation generate F_ELL(i), ELL = 3 mod 4: both spins of
+        # e_0 are full, but theta = I - I = 0 has nullity 2
+        gens = [[[1, 0], [0, 1]], [[0, ELL - 1], [1, 0]]]
+        calls = _spying(monkeypatch)
+        assert _full_mod_reference(gens, 2) is False
+        assert irred._full_mod(gens, 2) is False
+        assert calls == [(4, False)]
+
+    @pytest.mark.parametrize("spin2", [2, 5])
+    def test_tensor_squares_skip_the_closure(self, spin2, a, b, monkeypatch):
+        # spin 1 (x) spin 1 (n = 9) and spin 5/2 (x) spin 5/2 (n = 36) are
+        # decided by two spins of length n, never by a closure of length n^2
+        calls = _spying(monkeypatch)
+        v = check_generic_tensor_irreducible(build_eval_rep_sl2(spin2, a),
+                                             build_eval_rep_sl2(spin2, b))
+        n = (spin2 + 1) ** 2
+        assert (v.irreducible, v.closure_dim) == (True, n * n)
+        assert calls == [(n, True), (n, True)]

@@ -134,6 +134,16 @@ class TestParseSubstitute:
         x = z ** 2 + q
         assert x.substitute({"z": Rat(2)}) == q + Rat(4)
 
+    @pytest.mark.parametrize("value", [zero, Rat(0) * z],
+                             ids=["zero", "product"])
+    def test_substitute_zero(self, value):
+        # zero comes back as is, but only after the keys are checked
+        assert value.substitute({"z": Rat(2), "p": q}) is value
+        with pytest.raises(ValueError, match="substitute p"):
+            value.substitute({"q": Rat(2)})
+        with pytest.raises(TypeError, match="bad substitution target"):
+            value.substitute({1: Rat(2)})
+
     def test_pole(self):
         x = one / (z - one)
         with pytest.raises(PoleAtPoint):
