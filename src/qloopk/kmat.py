@@ -8,6 +8,18 @@ generators, and (when the restricted rank exceeds one) the theta-fixed
 Cartan lattice generators. Both sides are realized concretely, so solving
 is the nullspace computation of linalg.intertwiner_kernel over the scalar
 fraction field, with all n^2 entries of K unknown.
+
+When X is empty, tau(0) = 0 and the shift is s = (1, 0, ..., 0), the module's
+evaluation point a enters the system only through node 0, as a·z on both
+sides. On V_a, B_0 = a⁻¹F_0° z⁻¹ + gamma_0 z a θ_q(F_0)° + sigma_0 K_0⁻¹,
+and the other B_i and the Cartan generators carry neither a nor z. The
+twisted target is (ωτ)*V_a at 1/z, at the point a⁻¹, conjugated by a gauge
+matrix built from weights and the nodes i ≠ 0 only. So :func:`solve_K`
+eliminates once per unit-point module (:attr:`Rep.unit`) and maps the
+kernel line by z ↦ z·a, an injective map of fields when a and the
+parameters do not involve z. The line's canonical vector (1 at its last
+nonzero entry) maps to the canonical vector, and normalization runs on the
+module itself.
 """
 
 from __future__ import annotations
@@ -138,19 +150,56 @@ def solve_K(rep: Rep, twist: TwistSpec, shift: GradingShift,
             params: QSPParams, normalize: bool = True) -> KMatrixResult:
     twist.check_admissible(shift, params)
     realized = realize_twist(rep, twist)
+    key = _unit_key(rep, twist, shift, params)
+    if key is None:
+        K = _kernel(rep, realized.target, shift, params)
+    else:
+        if key not in _unit_kernels:
+            if len(_unit_kernels) >= 16:
+                del _unit_kernels[next(iter(_unit_kernels))]
+            # at the point 1 the module acts as its unit-point module does
+            target = (realized if rep.point.is_one()
+                      else realize_twist(rep.unit, twist)).target
+            _unit_kernels[key] = _kernel(rep.unit, target, shift, params)
+        K = _unit_kernels[key].substitute({"z": z_var * rep.point})
+    res = KMatrixResult(K, 1, twist, shift, realized)
+    if normalize:
+        res = normalize_K(res, rep)
+    return res
+
+
+# the kernel line at the unit point, keyed by _unit_key; solve_K hands out
+# substituted copies only
+_unit_kernels: dict[tuple, Mat] = {}
+
+
+def _unit_key(rep: Rep, twist: TwistSpec, shift: GradingShift,
+              params: QSPParams) -> tuple | None:
+    """The memo key of the unit-point solve (the unit module's identity and
+    the values of twist, shift and parameters), or None where the system
+    does not depend on the point through z·a alone."""
+    d = params.diagram
+    beta, gamma, sigma = (tuple(sorted((k, Rat(v)) for k, v in m.items()))
+                          for m in (twist.beta or {}, params.gamma, params.sigma))
+    if (d.X or d.tau[0] != 0 or twist.diagram != d
+            or shift.s != (1,) + (0,) * (len(shift.s) - 1)
+            or any("z" in v.names() for _, v in beta + gamma + sigma)):
+        return None
+    return rep.unit, d, twist.gauge, twist.Y, beta, shift, gamma, sigma
+
+
+def _kernel(rep: Rep, target: Rep, shift: GradingShift,
+            params: QSPParams) -> Mat:
+    """The kernel line of the intertwining system, as a matrix."""
     src = qsp_generators(rep, params, shift, z_var)
-    tgt = qsp_generators(realized.target, params, shift, z_var.inv())
+    tgt = qsp_generators(target, params, shift, z_var.inv())
     n = rep.dim
     kernel = intertwiner_kernel(
         [(L, R) for (_, L), (_, R) in zip(src, tgt)],
         {(r, c): r * n + c for r in range(n) for c in range(n)})
     if len(kernel) != 1:
         raise KernelDimension(len(kernel))
-    K = Mat([[kernel[0][r * n + c] for c in range(n)] for r in range(n)])
-    res = KMatrixResult(K, 1, twist, shift, realized)
-    if normalize:
-        res = normalize_K(res, rep)
-    return res
+    return Mat([[kernel[0][r * n + c] for c in range(n)] for r in range(n)])
 
 
 def _gauge_hw(rep: Rep, twist: TwistSpec) -> tuple[int, list[Rat]]:

@@ -11,6 +11,8 @@ so further modules can be plugged in directly.
 The builders make each module from one unit-point module per (kind, size),
 built once: the evaluation point a enters only through E_0 = a·E_0° and
 F_0 = a⁻¹·F_0°, and the other matrices are the unit-point module's own.
+The Chevalley pullback (ωτ)*V_a with τ(0) = 0 is the pullback of V_1, built
+once per unit module, at the point a⁻¹: it sends E_0 to -F_0 = -a⁻¹·F_0°.
 Modules are not written to after they are built.
 """
 
@@ -34,11 +36,13 @@ class Rep:
     """A module given by its generator matrices and basis weights.
 
     ``point`` is the evaluation point a of a builder's module, whose node-0
-    matrices are a^{±1} times those of the unit-point module ``_unit``. Every
-    other module (twists, conjugates, pullbacks, tensors, and copies made by
-    ``dataclasses.replace``) has ``point = 1`` and is its own unit-point
-    module. Equality and hashing are by identity; :meth:`same_action` and
-    :meth:`same_module` compare modules.
+    matrices are a^{±1} times those of the unit-point module ``_unit``, or
+    a⁻¹ for the pullback of such a module along ω∘τ with τ(0) = 0. Every
+    other module (twists, conjugates, other pullbacks, tensors, and copies
+    made by ``dataclasses.replace``) has ``point = 1`` and is its own
+    unit-point module. ``_pullback_of`` is (U, τ) for a module built as
+    (ωτ)*U by :func:`pullback_chevalley_tau`. Equality and hashing are by
+    identity; :meth:`same_action` and :meth:`same_module` compare modules.
     """
 
     cartan: CartanDatum
@@ -50,6 +54,8 @@ class Rep:
     label: str = ""
     point: Rat = field(default=one, init=False)
     _unit: "Rep | None" = field(default=None, init=False, repr=False)
+    _pullback_of: "tuple[Rep, tuple[int, ...]] | None" = field(
+        default=None, init=False, repr=False)
     _Kinv: dict[int, Mat] = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -310,14 +316,32 @@ def tensor(v: Rep, w: Rep) -> Rep:
 
 def pullback_chevalley_tau(rep: Rep, tau) -> Rep:
     """Pullback along ω ∘ τ (Chevalley involution composed with a diagram
-    automorphism): E_i ↦ -F_{τ(i)}, F_i ↦ -E_{τ(i)}, K_i ↦ K_{τ(i)}^{-1}."""
-    cd = rep.cartan
+    automorphism): E_i ↦ -F_{τ(i)}, F_i ↦ -E_{τ(i)}, K_i ↦ K_{τ(i)}^{-1}.
+
+    When τ(0) = 0 and ``rep`` is V_a at point a, only node 0 carries a, and
+    its E_0 = -a⁻¹·F_0°, F_0 = -a·E_0°: the result is the memoized pullback
+    of V_1 at the point a⁻¹."""
     tau = tuple(tau)
+    if rep._unit is None or tau[0] != 0:
+        return _pullback(rep, tau)
+    return _at_point(_unit_pullback(rep._unit, tau), rep.point.inv(),
+                     f"(ωτ)*({rep.label})")
+
+
+@lru_cache(maxsize=None)
+def _unit_pullback(unit: Rep, tau: tuple[int, ...]) -> Rep:
+    return _pullback(unit, tau)
+
+
+def _pullback(rep: Rep, tau: tuple[int, ...]) -> Rep:
+    cd = rep.cartan
     E = {i: -rep.F[tau[i]] for i in cd.nodes}
     F = {i: -rep.E[tau[i]] for i in cd.nodes}
     K = {i: rep.Kinv(tau[i]) for i in cd.nodes}
     weights = tuple(tuple(-wt[tau[i]] for i in cd.nodes) for wt in rep.weights)
-    return Rep(cd, rep.dim, E, F, K, weights, f"(ωτ)*({rep.label})")
+    out = Rep(cd, rep.dim, E, F, K, weights, f"(ωτ)*({rep.label})")
+    out._pullback_of = (rep, tau)
+    return out
 
 
 def ell_highest_indices(rep: Rep) -> list[int]:

@@ -16,8 +16,22 @@ V_1 ⊗ W_{1,u} at u = z·b/a, and nothing else depends on a, b or z. The
 builders reject points that involve z or w, so u ↦ z·b/a is an injective
 map of fields: kernel dimension, the highest-weight pivot and the scaling
 carry over, and every entry is the canonical fraction a direct solve gives.
-Modules that are not builder output have point 1 and are solved as they
-are; their action must not involve z or w either.
+The same holds for the Chevalley pullbacks of builder modules, which have
+their own unit-point modules and the point a⁻¹ (:mod:`repcore`). Other
+modules have point 1 and are solved as they are; their action must not
+involve z or w either.
+
+One more pair needs no elimination. The Chevalley involution ω (E_i ↦ -F_i,
+F_i ↦ -E_i, K_i ↦ K_i⁻¹) is an algebra automorphism and a coalgebra
+anti-automorphism, Δ∘ω = (ω⊗ω)∘Δ^op, and ω*U at z is U at 1/z pulled back
+along ω. So for V = ω*U₁ and W = ω*U₂ (the pullbacks with τ = id), the
+matrices of Δ and Δ^op on V ⊗ W_z are those of Δ^op and Δ on U₁ ⊗ U₂,1/z;
+conjugated by the flip P of the legs they are those of Δ and Δ^op on
+U₂ ⊗ U₁,z at generators scaled by the grading. Hence X ↦ P·X·P maps the
+solutions for (U₂, U₁) onto those for (V, W), and P·R(U₂, U₁)·P spans the
+kernel, a line. :func:`_solve_unit` takes it when its entry at the pair's
+own highest-weight index is exactly 1, which makes it the normalized
+solution; otherwise it eliminates.
 """
 
 from __future__ import annotations
@@ -80,6 +94,20 @@ def solve_R(v: Rep, w: Rep) -> RMatrixResult:
                          res.hw_index, res.scalar.substitute(at))
 
 
+def _flipped(v: Rep, w: Rep) -> Mat | None:
+    """P·R(U₂, U₁)·P when v = ω*U₁ and w = ω*U₂, else None (also when
+    R(U₂, U₁) cannot be solved: then the pair is eliminated as it is)."""
+    if v._pullback_of is None or w._pullback_of is None:
+        return None
+    (U1, t1), (U2, t2) = v._pullback_of, w._pullback_of
+    if t1 != tuple(range(len(t1))) or t2 != t1:
+        return None
+    try:
+        return permute(solve_R(U2, U1).matrix, swap(w.dim, v.dim))
+    except RmatError:
+        return None
+
+
 @lru_cache(maxsize=16)
 def _solve_unit(v: Rep, w: Rep) -> RMatrixResult:
     """The intertwiner solve itself; the memo is keyed on module identity
@@ -92,6 +120,14 @@ def _solve_unit(v: Rep, w: Rep) -> RMatrixResult:
         for r in members:
             for c in members:
                 unk[(r, c)] = len(unk)
+    # normalization block: weight-maximal class by coordinate sum, lex tie-break
+    top = classes[max(classes, key=lambda cw: (sum(cw), cw))]
+    flipped = _flipped(v, w)
+    if flipped is not None and len(top) == 1 and flipped[top[0], top[0]].is_one():
+        # elimination would scale its kernel vector to 1 at the last nonzero
+        # unknown (SpanBasis.nullspace), so it would report that entry
+        last = max((rc for rc in unk if not flipped[rc].is_zero()), key=unk.get)
+        return RMatrixResult(flipped, 1, top[0], flipped[last])
     pairs = []
     for i in v.cartan.nodes:
         pairs += zip(coproduct(v, w, i, z=z_var), coproduct(v, w, i, op=True, z=z_var))
@@ -102,13 +138,10 @@ def _solve_unit(v: Rep, w: Rep) -> RMatrixResult:
     R = Mat.zeros(n)
     for (r, c), u in unk.items():
         R.data[r][c] = sol[u]
-    # normalization block: weight-maximal class by coordinate sum, lex tie-break
-    top = max(classes, key=lambda cw: (sum(cw), cw))
-    block = classes[top]
-    if len(block) != 1:
+    if len(top) != 1:
         raise NoHighestWeightVector(
-            f"weight-maximal block has dimension {len(block)}")
-    hw = block[0]
+            f"weight-maximal block has dimension {len(top)}")
+    hw = top[0]
     pivot = R[hw, hw]
     if pivot.is_zero():
         raise NoHighestWeightVector("solution vanishes on the highest-weight vector")

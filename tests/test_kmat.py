@@ -2,18 +2,20 @@ import dataclasses
 
 import pytest
 
-from qloopk.braid import GaugeInvalid, TwistSpec
+from qloopk import cli, kmat, repcore
+from qloopk.braid import GaugeInvalid, TwistSpec, realize_twist
 from qloopk.cli import Scenario, _load_scenario
 from qloopk.kmat import (AmbiguousNormalization, KernelDimension, KmatError,
-                         NotRestrictable, check_intertwining, convert_grading,
-                         gauge_matrix, qsp_generators, solve_K,
+                         KMatrixResult, NotRestrictable, check_intertwining,
+                         convert_grading, gauge_matrix, normalize_K,
+                         normalize_K_paired, qsp_generators, solve_K,
                          verify_K_unitarity, verify_gre, verify_standard_re)
-from qloopk.linalg import Mat, kron, permute, swap
-from qloopk.repcore import build_eval_rep_sl2
+from qloopk.linalg import Mat, intertwiner_kernel, kron, permute, swap
+from qloopk.repcore import build_eval_rep_sl2, pullback_chevalley_tau
 from qloopk.rmat import CheckReport, check_product, solve_R
 from qloopk.rootdata import (GradingShift, QSPParams, SatakeDiagram, affine_A,
                              build_Y0)
-from qloopk.scalars import PoleAtPoint, Rat, const, one, parse, w, z, zero
+from qloopk.scalars import PoleAtPoint, Rat, const, one, parse, q, w, z, zero
 
 
 @pytest.fixture(scope="module")
@@ -321,3 +323,135 @@ class TestGaugeMatrix:
             gauge_matrix(shifted, spec)
         with pytest.raises(GaugeInvalid):
             realize_twist(shifted, spec)
+
+
+def _solve_K_reference(rep, twist, shift, params, normalize=True):
+    """The intertwiner solve at the module's own point, with no memo and no
+    substitution: solve_K as it was before it solved at the unit point."""
+    twist.check_admissible(shift, params)
+    realized = realize_twist(rep, twist)
+    src = qsp_generators(rep, params, shift, z)
+    tgt = qsp_generators(realized.target, params, shift, z.inv())
+    n = rep.dim
+    kernel = intertwiner_kernel(
+        [(L, R) for (_, L), (_, R) in zip(src, tgt)],
+        {(r, c): r * n + c for r in range(n) for c in range(n)})
+    if len(kernel) != 1:
+        raise KernelDimension(len(kernel))
+    K = Mat([[kernel[0][r * n + c] for c in range(n)] for r in range(n)])
+    res = KMatrixResult(K, 1, twist, shift, realized)
+    return normalize_K(res, rep) if normalize else res
+
+
+def _solved_alike(rep, o, twist=None, normalize=True):
+    twist = twist or o["twist"]
+    args = (rep, twist, o["shift"], o["params"])
+    return (solve_K(*args, normalize=normalize).to_json()
+            == _solve_K_reference(*args, normalize=normalize).to_json())
+
+
+SPINS = {"spin1/2": 1, "spin1": 2, "spin3/2": 3}
+
+ORBIT_POINTS = {
+    "a,b": lambda a, b: (a, b),
+    "a,a": lambda a, b: (a, a),
+    "2,3": lambda a, b: (Rat(2), Rat(3)),
+    "1+q,b": lambda a, b: (1 + q, b),
+    "a,1/a": lambda a, b: (a, a.inv()),
+}
+
+
+class TestOrbitOracle:
+    """solve_K, which eliminates once per unit-point module and substitutes
+    z ↦ z·a, against the direct solve at the module's own point."""
+
+    @pytest.mark.parametrize("point", ORBIT_POINTS)
+    @pytest.mark.parametrize("spin", SPINS)
+    def test_matches_direct_solve(self, a, b, onsager, onsager_sigma0,
+                                  spin, point):
+        V, W = (build_eval_rep_sl2(SPINS[spin], x)
+                for x in ORBIT_POINTS[point](a, b))
+        for rep in (V, W):
+            assert _solved_alike(rep, onsager)
+        # verify_K_unitarity's pair: the gauge-normalized K_V and the
+        # unnormalized K of the twisted module at the point 1/a
+        assert _solved_alike(V, onsager_sigma0)
+        Vt = realize_twist(V, onsager["twist"]).target
+        assert _solved_alike(Vt, onsager_sigma0, normalize=False)
+
+    @pytest.mark.parametrize("gauge", ["standard", "auxiliary", "diagonal"])
+    def test_other_gauges(self, a, onsager, gauge):
+        d, g0 = onsager["diagram"], onsager["g0"]
+        twist = {"standard": TwistSpec(d, "standard"),
+                 "auxiliary": _auxiliary(d),
+                 "diagonal": TwistSpec(d, "diagonal",
+                                       beta={0: g0.inv(), 1: g0})}[gauge]
+        for spin in (1, 2):
+            assert _solved_alike(build_eval_rep_sl2(spin, a), onsager, twist)
+
+
+class TestUnitPointMemo:
+    @pytest.fixture
+    def eliminations(self, monkeypatch):
+        """Count the intertwiner eliminations of kmat, from an empty memo."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return intertwiner_kernel(*args)
+
+        kmat._unit_kernels.clear()
+        monkeypatch.setattr(kmat, "intertwiner_kernel", counted)
+        return calls
+
+    @pytest.mark.parametrize("scenario, count",
+                             [("qonsager-sl2-fundamental", 4),
+                              ("qonsager-sl2-spin1", 3)])
+    def test_pipeline_eliminations(self, capsys, eliminations, scenario, count):
+        # K(V_1) serves K_V and K_W; verify-re solves K(V_1) under the
+        # auxiliary twist, and verify-unitarity K(V_1) at sigma = 0 and, for
+        # the fundamental module only, K(ω*V_1) for the twisted module
+        cli.main(["pipeline", "run", scenario])
+        capsys.readouterr()
+        assert len(eliminations) == count
+
+    def test_memo_serves_fresh_results(self, a, b, onsager_sigma0):
+        o = onsager_sigma0
+        args = (o["twist"], o["shift"], o["params"])
+        V, W = build_eval_rep_sl2(1, a), build_eval_rep_sl2(1, b)
+        expected = solve_K(W, *args).to_json()
+        served = solve_K(V, *args)
+        served.matrix.data[0][0] = Rat(7)
+        served.matrix.data[1][0] = q
+        assert solve_K(W, *args).to_json() == expected
+        Vt = realize_twist(V, o["twist"]).target
+        raw = solve_K(Vt, *args, normalize=False)
+        expected = raw.to_json()
+        normalize_K_paired(raw, V, o["twist"])
+        assert raw.to_json() != expected
+        assert solve_K(Vt, *args, normalize=False).to_json() == expected
+
+    def test_independent_of_registrations_and_memo(self, a, b, onsager):
+        o = onsager
+        args = (o["twist"], o["shift"], o["params"])
+        V, W = build_eval_rep_sl2(2, a), build_eval_rep_sl2(2, b)
+        before = [solve_K(M, *args).to_json() for M in (V, W)]
+        const("unit_point_K_probe")  # rebuilds the field
+        after = [solve_K(M, *args).to_json() for M in (V, W)]
+        kmat._unit_kernels.clear()
+        repcore._unit_pullback.cache_clear()
+        cold = [solve_K(M, *args).to_json() for M in (V, W)]
+        assert before == after == cold == [
+            _solve_K_reference(M, *args).to_json() for M in (V, W)]
+
+    def test_copies_and_moved_node_solved_directly(self, a, onsager,
+                                                   eliminations):
+        # a dataclasses.replace copy, and a pullback whose τ moves node 0,
+        # have point 1 and their own unit: each is eliminated as it is
+        V = build_eval_rep_sl2(1, a)
+        solve_K(V, onsager["twist"], onsager["shift"], onsager["params"])
+        for X in (dataclasses.replace(V), pullback_chevalley_tau(V, (1, 0))):
+            assert X.point.is_one() and X.unit is X
+            count = len(eliminations)
+            assert _solved_alike(X, onsager)
+            assert len(eliminations) == count + 1

@@ -125,6 +125,22 @@ class TestStructure:
             assert back.F[i] == fund.F[i]
             assert back.K[i] == fund.K[i]
 
+    @pytest.mark.parametrize("spin2", [1, 2])
+    def test_pullback_of_builder_module(self, a, b, spin2):
+        # (ωτ)*V_a with τ = id acts by E_i ↦ -F_i, F_i ↦ -E_i, K_i ↦ K_i⁻¹
+        # of V_a, and is the pullback of V_1 at the point a⁻¹
+        V, W = build_eval_rep_sl2(spin2, a), build_eval_rep_sl2(spin2, b)
+        Vt, Wt = (pullback_chevalley_tau(M, (0, 1)) for M in (V, W))
+        for i in (0, 1):
+            assert Vt.E[i] == -V.F[i] and Vt.F[i] == -V.E[i]
+            assert Vt.K[i] == V.Kinv(i)
+        assert Vt.point == a.inv() and Wt.point == b.inv()
+        assert Vt.unit is Wt.unit and Vt.unit._pullback_of == (V.unit, (0, 1))
+        # a τ that moves node 0 moves a to node 1: point 1, its own unit
+        moved = pullback_chevalley_tau(V, (1, 0))
+        assert moved.point == one and moved.unit is moved
+        assert moved.E[1] == -V.F[0]
+
     def test_pullback_satisfies_relations(self, fund):
         report = verify_relations(pullback_chevalley_tau(fund, (0, 1)))
         assert report.ok, report.failures

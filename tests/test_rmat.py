@@ -1,8 +1,12 @@
+import dataclasses
+
 import pytest
 
-from qloopk import cli, rmat
+from qloopk import cli, repcore, rmat
+from qloopk.braid import realize_twist
 from qloopk.linalg import Mat, intertwiner_kernel, kron
-from qloopk.repcore import build_eval_rep_sl2, build_vector_rep_slN_eval, coproduct
+from qloopk.repcore import (Rep, build_eval_rep_sl2, build_vector_rep_slN_eval,
+                            coproduct, pullback_chevalley_tau)
 from qloopk.rmat import (KernelDimension, NoHighestWeightVector, RMatrixResult,
                          _r13, _tensor_weight_classes, detect_degeneration,
                          solve_R, verify_R_unitarity, verify_YBE)
@@ -233,9 +237,125 @@ class TestUnitPointMemo:
 
     @pytest.mark.parametrize("scenario", ["qonsager-sl2-fundamental",
                                           "qonsager-sl2-spin1"])
-    def test_pipeline_eliminates_four(self, capsys, eliminations, scenario):
-        # verify-gre solves R for four module pairs; verify-re's R(V_1, W_1)
-        # is the unit-point solve behind verify-gre's R(V_a, W_b)
+    def test_pipeline_eliminates_two(self, capsys, eliminations, scenario):
+        # verify-gre solves R for four module pairs in two orbits: (V_1, V_1)
+        # behind R(V_a, W_b), and (ω*V_1, V_1) behind R(Vt, W) and R(Wt, V);
+        # R(Wt, Vt) is the flip of R(V_1, V_1), and verify-re's R(V_1, W_1)
+        # is the unit-point solve itself
         cli.main(["pipeline", "run", scenario])
         capsys.readouterr()
-        assert len(eliminations) == 4
+        assert len(eliminations) == 2
+
+    def test_flip_checks_normalization(self, a, b, onsager, eliminations,
+                                       monkeypatch):
+        # a flipped matrix that is not 1 at the pair's highest-weight index
+        # is not taken: the pair is eliminated, with the direct solve's result
+        V, W = _twisted(build_eval_rep_sl2(1, a), build_eval_rep_sl2(1, b),
+                        onsager)[2:]
+        flipped = rmat._flipped
+
+        def scaled(v, w):
+            m = flipped(v, w)
+            return m if m is None else m.scale(q)
+
+        monkeypatch.setattr(rmat, "_flipped", scaled)
+        assert solve_R(W, V).to_json() == _solve_R_reference(W, V).to_json()
+        assert len(eliminations) == 2  # R(V_1, V_1) and the pair itself
+
+    def test_memo_serves_copies(self, a, b, onsager):
+        # the flip and the shared (ω*V_1, V_1) solve are memo hits, and
+        # writing into what they hand out changes no later result
+        V, W, Vt, Wt = _twisted(build_eval_rep_sl2(2, a),
+                                build_eval_rep_sl2(2, b), onsager)
+        for X, Y in ((Wt, Vt), (Vt, W), (Wt, V)):
+            served = solve_R(X, Y)
+            expected = served.to_json()
+            served.matrix.data[0][0] = Rat(7)
+            served.matrix.data[1][1] = q
+            assert solve_R(X, Y).to_json() == expected
+
+    def test_twisted_pairs_independent_of_registrations_and_memo(self, a, b,
+                                                                 onsager):
+        V, W, Vt, Wt = _twisted(build_eval_rep_sl2(1, a),
+                                build_eval_rep_sl2(1, b), onsager)
+        pairs = ((V, W), (Wt, Vt), (Vt, W), (Wt, V))
+        before = [solve_R(X, Y).to_json() for X, Y in pairs]
+        const("orbit_memo_probe")  # rebuilds the field
+        after = [solve_R(X, Y).to_json() for X, Y in pairs]
+        rmat._solve_unit.cache_clear()
+        repcore._unit_pullback.cache_clear()
+        V, W, Vt, Wt = _twisted(build_eval_rep_sl2(1, a),
+                                build_eval_rep_sl2(1, b), onsager)
+        pairs = ((V, W), (Wt, Vt), (Vt, W), (Wt, V))
+        cold = [solve_R(X, Y).to_json() for X, Y in pairs]
+        assert before == after == cold == [
+            _solve_R_reference(X, Y).to_json() for X, Y in pairs]
+
+    def test_copies_and_moved_node_solved_directly(self, a, b, eliminations):
+        # a dataclasses.replace copy, and a pullback whose τ moves node 0,
+        # have point 1 and their own unit: each is eliminated as it is
+        V, W = build_eval_rep_sl2(1, a), build_eval_rep_sl2(1, b)
+        solve_R(V, W)
+        copy = dataclasses.replace(V)
+        moved = pullback_chevalley_tau(V, (1, 0))
+        for X in (copy, moved):
+            assert X.point.is_one() and X.unit is X
+            count = len(eliminations)
+            assert solve_R(X, W).to_json() == _solve_R_reference(X, W).to_json()
+            assert len(eliminations) == count + 1
+
+
+def _twisted(V, W, onsager):
+    """V, W and their twisted modules Vt, Wt, as verify_gre forms them."""
+    twist = onsager["twist"]
+    return V, W, realize_twist(V, twist).target, realize_twist(W, twist).target
+
+
+def _pulled_back(M):
+    """ω*M written out, E_i ↦ -F_i, F_i ↦ -E_i, K_i ↦ K_i⁻¹, as a module
+    at point 1: the reference for the twisted modules."""
+    nodes = M.cartan.nodes
+    return Rep(M.cartan, M.dim, {i: -M.F[i] for i in nodes},
+               {i: -M.E[i] for i in nodes}, {i: M.Kinv(i) for i in nodes},
+               tuple(tuple(-x for x in wt) for wt in M.weights))
+
+
+def _assert_gre_pairs_direct(V, W, onsager, pairs):
+    """solve_R on the (V, W, Vt, Wt) pairs given by index against the direct
+    solve on V, W and their written-out pullbacks."""
+    mods = _twisted(V, W, onsager)
+    refs = (V, W, _pulled_back(V), _pulled_back(W))
+    for i, j in pairs:
+        assert (solve_R(mods[i], mods[j]).to_json()
+                == _solve_R_reference(refs[i], refs[j]).to_json())
+
+
+SPINS = {"spin1/2": 1, "spin1": 2, "spin3/2": 3}
+
+ORBIT_POINTS = {
+    "a,b": lambda a, b: (a, b),
+    "a,a": lambda a, b: (a, a),
+    "2,3": lambda a, b: (Rat(2), Rat(3)),
+    "1+q,b": lambda a, b: (1 + q, b),
+    "a,1/a": lambda a, b: (a, a.inv()),
+}
+
+
+class TestOrbitOracle:
+    """solve_R, which serves the twisted pairs from two eliminations (the
+    pullbacks' unit-point solve and the Chevalley flip), against the direct
+    solve of every ordered pair verify_gre forms."""
+
+    @pytest.mark.parametrize("point", ORBIT_POINTS)
+    @pytest.mark.parametrize("spin", SPINS)
+    def test_matches_direct_solve(self, a, b, onsager, spin, point):
+        x, y = ORBIT_POINTS[point](a, b)
+        _assert_gre_pairs_direct(build_eval_rep_sl2(SPINS[spin], x),
+                                 build_eval_rep_sl2(SPINS[spin], y), onsager,
+                                 ((0, 1), (3, 2), (2, 1), (3, 0)))
+
+    def test_mixed_spins(self, a, b, onsager):
+        # the flip of unequal modules: R(ω*U₁, ω*U₂) = P·R(U₂, U₁)·P
+        _assert_gre_pairs_direct(build_eval_rep_sl2(1, a),
+                                 build_eval_rep_sl2(2, b), onsager,
+                                 ((0, 1), (3, 2), (2, 3), (2, 1), (3, 0)))
