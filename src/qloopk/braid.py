@@ -7,15 +7,23 @@ is diagonal on weight vectors. Since t_theta only ever enters through
 conjugation or through paired normalization conditions, xi_theta is fixed
 only up to a global scalar; we pin it by giving the first basis vector
 entry 1.
+
+The orbit rule: when tau(0) = 0, (omega tau)*V_a is (omega tau)*V_1 at the
+point a⁻¹ (E_0 = -a⁻¹·F_0°, F_0 = -a·E_0°). With node 0 also outside X and
+Y, t_theta and the gauge matrix are built from weights and T_i, i ≠ 0, so
+the conjugator C = g·T'⁻¹ does not depend on a either (the semi-standard
+gauge has C = 1). :func:`realize_twist` then realizes the twist of V_a as
+that of V_1, once, at the point a⁻¹.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .linalg import Mat, invert
-from .repcore import Rep, pullback_chevalley_tau
+from .repcore import Rep, _at_point, pullback_chevalley_tau
 from .rootdata import (GradingShift, QSPParams, SatakeDiagram, bilinear,
                        build_Y0, classical_in_root_basis, rho, theta_on_roots)
 from .scalars import Rat, one, p, q_factorial, zero
@@ -147,7 +155,11 @@ class TwistSpec:
     diagram: SatakeDiagram
     gauge: str = "semi-standard"     # semi-standard | standard | auxiliary | diagonal
     Y: tuple[int, ...] = ()          # for the auxiliary gauge g = S_Y^{-1} S_X
-    beta: dict | None = None         # for the diagonal gauge: node -> value
+    beta: dict | None = None         # for the diagonal gauge: node -> Rat
+
+    def __hash__(self):
+        return hash((self.diagram, self.gauge, self.Y,
+                     tuple(sorted((self.beta or {}).items()))))
 
     @staticmethod
     def from_json(diagram: SatakeDiagram, spec) -> "TwistSpec":
@@ -160,14 +172,14 @@ class TwistSpec:
                              Y=tuple(spec["auxiliary"]["Y"]))
         if isinstance(spec, dict) and "diagonal" in spec:
             return TwistSpec(diagram, "diagonal",
-                             beta={int(k): v for k, v in spec["diagonal"].items()})
+                             beta={int(k): Rat(v) for k, v in spec["diagonal"].items()})
         raise GaugeInvalid(f"unparseable gauge spec {spec!r}")
 
     def to_json(self):
         if self.gauge == "auxiliary":
             return {"gauge": {"auxiliary": {"Y": list(self.Y)}}}
         if self.gauge == "diagonal":
-            return {"gauge": {"diagonal": {str(k): str(Rat(v))
+            return {"gauge": {"diagonal": {str(k): str(v)
                                            for k, v in self.beta.items()}}}
         return {"gauge": self.gauge}
 
@@ -186,7 +198,7 @@ class TwistSpec:
         for i in cd.nodes:
             gamma_delta = gamma_delta * params.gamma[i] ** cd.marks[i]
         if self.gauge == "diagonal":
-            beta = {i: Rat(v) for i, v in (self.beta or {}).items()}
+            beta = self.beta or {}
             beta_delta = one
             for i in cd.nodes:
                 if i in beta:
@@ -231,7 +243,7 @@ def gauge_matrix(rep: Rep, spec: TwistSpec) -> Mat:
         return (invert(t_theta_matrix(rep, _aux_diagram(spec)))
                 @ t_theta_matrix(rep, spec.diagram))
     if spec.gauge == "diagonal":
-        beta = {i: Rat(v) for i, v in (spec.beta or {}).items()}
+        beta = spec.beta or {}
         entries = []
         for wt in rep.weights:
             val = one
@@ -252,13 +264,27 @@ def realize_twist(rep: Rep, spec: TwistSpec) -> RealizedTwist:
     Generally pi_{psi*(V)}(x) = C · pi_{(omega tau)*(V)}(x) · C^{-1} with
     C = pi_V(g) · T'^{-1}, where T' realizes t_theta on the omega-tau
     pullback. The semi-standard gauge g = t_theta collapses to psi =
-    omega∘tau with identity conjugator.
+    omega∘tau with identity conjugator. Under the orbit rule (module
+    docstring) the target is that of the unit-point module at the point a⁻¹.
     """
     diagram = spec.diagram
-    pulled = pullback_chevalley_tau(rep, diagram.tau)
+    if diagram.tau[0] != 0 or (spec.gauge != "semi-standard"
+                               and 0 in diagram.X + spec.Y):
+        return _realize(rep, spec)
+    unit = _realize(rep.unit, spec)
+    return RealizedTwist(rep, spec, unit.conjugator, _at_point(
+        unit.target, rep.point.inv(), f"psi*({rep.label})"))
+
+
+@lru_cache(maxsize=16)
+def _realize(rep: Rep, spec: TwistSpec) -> RealizedTwist:
+    """The twist realized at the module's own point, memoized on the
+    module's identity and the spec's value. A module the twist fixes (same
+    action and weights) is its own target."""
+    pulled = pullback_chevalley_tau(rep, spec.diagram.tau)
     if spec.gauge == "semi-standard":
-        return RealizedTwist(rep, spec, Mat.identity(rep.dim), pulled)
-    Tprime = t_theta_matrix(pulled, diagram)
-    C = gauge_matrix(rep, spec) @ invert(Tprime)
-    target = pulled.conjugated(C, label=f"psi*({rep.label})")
-    return RealizedTwist(rep, spec, C, target)
+        C, target = Mat.identity(rep.dim), pulled
+    else:
+        C = gauge_matrix(rep, spec) @ invert(t_theta_matrix(pulled, spec.diagram))
+        target = pulled.conjugated(C, label=f"psi*({rep.label})")
+    return RealizedTwist(rep, spec, C, rep if target.same_module(rep) else target)

@@ -148,13 +148,17 @@ class Scenario:
         self.cartan = affine_A(int(dg["n"]))
         self.diagram = SatakeDiagram(self.cartan, tuple(dg.get("X", ())),
                                      tuple(dg["tau"]))
-        gamma = {int(k): _substituted(_parse_value(v), vars)
-                 for k, v in data["gamma"].items()}
-        sigma = {int(k): _substituted(_parse_value(v), vars)
-                 for k, v in data["sigma"].items()}
-        self.params = QSPParams(self.diagram, gamma, sigma)
-        self.twist = TwistSpec.from_json(self.diagram, data.get("twist",
-                                                                "semi-standard"))
+
+        def values(m: dict) -> dict:
+            return {int(k): _substituted(_parse_value(v), vars)
+                    for k, v in m.items()}
+
+        self.params = QSPParams(self.diagram, values(data["gamma"]),
+                                values(data["sigma"]))
+        twist = data.get("twist", "semi-standard")
+        if isinstance(twist, dict) and "diagonal" in twist:
+            twist = {"diagonal": values(twist["diagonal"])}
+        self.twist = TwistSpec.from_json(self.diagram, twist)
         shift = data.get("shift", "tau-minimal")
         if shift == "tau-minimal":
             self.shift = GradingShift.tau_minimal(self.diagram)

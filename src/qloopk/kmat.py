@@ -13,19 +13,23 @@ When X is empty, tau(0) = 0 and the shift is s = (1, 0, ..., 0), the module's
 evaluation point a enters the system only through node 0, as a·z on both
 sides. On V_a, B_0 = a⁻¹F_0° z⁻¹ + gamma_0 z a θ_q(F_0)° + sigma_0 K_0⁻¹,
 and the other B_i and the Cartan generators carry neither a nor z. The
-twisted target is (ωτ)*V_a at 1/z, at the point a⁻¹, conjugated by a gauge
-matrix built from weights and the nodes i ≠ 0 only. So :func:`solve_K`
-eliminates once per unit-point module (:attr:`Rep.unit`) and maps the
-kernel line by z ↦ z·a, an injective map of fields when a and the
-parameters do not involve z. The line's canonical vector (1 at its last
-nonzero entry) maps to the canonical vector, and normalization runs on the
-module itself.
+twisted target is the twist of V_1 at the point a⁻¹ (the orbit rule of
+:func:`braid.realize_twist`), taken at 1/z. So :func:`solve_K` eliminates
+once per unit-point module (:attr:`Rep.unit`) and maps the kernel line by
+z ↦ z·a, an injective map of fields when a and the parameters do not
+involve z. The line's canonical vector (1 at its last nonzero entry) maps to
+the canonical vector, and normalization runs on the module itself.
+
+Twists, K and R are memoized per unit-point module (``lru_cache`` on its
+identity and the values of twist, shift and parameters), so the checks
+below just ask for every matrix they need.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .braid import (RealizedTwist, TwistSpec, gauge_matrix, realize_twist,
                     theta_q_Fs)
@@ -40,12 +44,6 @@ from .scalars import Poly, Rat, z as z_var, w as w_var
 
 class KmatError(Exception):
     pass
-
-
-class KernelDimension(KmatError):
-    def __init__(self, k):
-        self.k = k
-        super().__init__(f"QSP intertwiner space has dimension {k}, expected 1")
 
 
 class AmbiguousNormalization(KmatError):
@@ -150,42 +148,34 @@ def solve_K(rep: Rep, twist: TwistSpec, shift: GradingShift,
             params: QSPParams, normalize: bool = True) -> KMatrixResult:
     twist.check_admissible(shift, params)
     realized = realize_twist(rep, twist)
-    key = _unit_key(rep, twist, shift, params)
-    if key is None:
-        K = _kernel(rep, realized.target, shift, params)
+    if _through_za(twist, shift, params):
+        K = _solve_unit(rep.unit, twist, shift, params).substitute(
+            {"z": z_var * rep.point})
     else:
-        if key not in _unit_kernels:
-            if len(_unit_kernels) >= 16:
-                del _unit_kernels[next(iter(_unit_kernels))]
-            # at the point 1 the module acts as its unit-point module does
-            target = (realized if rep.point.is_one()
-                      else realize_twist(rep.unit, twist)).target
-            _unit_kernels[key] = _kernel(rep.unit, target, shift, params)
-        K = _unit_kernels[key].substitute({"z": z_var * rep.point})
+        K = _kernel(rep, realized.target, shift, params)
     res = KMatrixResult(K, 1, twist, shift, realized)
     if normalize:
         res = normalize_K(res, rep)
     return res
 
 
-# the kernel line at the unit point, keyed by _unit_key; solve_K hands out
-# substituted copies only
-_unit_kernels: dict[tuple, Mat] = {}
-
-
-def _unit_key(rep: Rep, twist: TwistSpec, shift: GradingShift,
-              params: QSPParams) -> tuple | None:
-    """The memo key of the unit-point solve (the unit module's identity and
-    the values of twist, shift and parameters), or None where the system
-    does not depend on the point through z·a alone."""
+def _through_za(twist: TwistSpec, shift: GradingShift,
+                params: QSPParams) -> bool:
+    """Whether the system depends on the module's point through z·a alone."""
     d = params.diagram
-    beta, gamma, sigma = (tuple(sorted((k, Rat(v)) for k, v in m.items()))
-                          for m in (twist.beta or {}, params.gamma, params.sigma))
-    if (d.X or d.tau[0] != 0 or twist.diagram != d
-            or shift.s != (1,) + (0,) * (len(shift.s) - 1)
-            or any("z" in v.names() for _, v in beta + gamma + sigma)):
-        return None
-    return rep.unit, d, twist.gauge, twist.Y, beta, shift, gamma, sigma
+    values = [*(twist.beta or {}).values(), *params.gamma.values(),
+              *params.sigma.values()]
+    return not (d.X or d.tau[0] != 0 or twist.diagram != d
+                or shift.s != (1,) + (0,) * (len(shift.s) - 1)
+                or any("z" in v.names() for v in values))
+
+
+@lru_cache(maxsize=16)
+def _solve_unit(unit: Rep, twist: TwistSpec, shift: GradingShift,
+                params: QSPParams) -> Mat:
+    """The kernel line at the unit point; the memo never hands out its
+    matrix (solve_K substitutes into a copy)."""
+    return _kernel(unit, realize_twist(unit, twist).target, shift, params)
 
 
 def _kernel(rep: Rep, target: Rep, shift: GradingShift,
@@ -194,12 +184,9 @@ def _kernel(rep: Rep, target: Rep, shift: GradingShift,
     src = qsp_generators(rep, params, shift, z_var)
     tgt = qsp_generators(target, params, shift, z_var.inv())
     n = rep.dim
-    kernel = intertwiner_kernel(
+    return intertwiner_kernel(
         [(L, R) for (_, L), (_, R) in zip(src, tgt)],
         {(r, c): r * n + c for r in range(n) for c in range(n)})
-    if len(kernel) != 1:
-        raise KernelDimension(len(kernel))
-    return Mat([[kernel[0][r * n + c] for c in range(n)] for r in range(n)])
 
 
 def _gauge_hw(rep: Rep, twist: TwistSpec) -> tuple[int, list[Rat]]:
@@ -257,27 +244,19 @@ def verify_gre(V: Rep, W: Rep, twist: TwistSpec, shift: GradingShift,
                params: QSPParams,
                KV: KMatrixResult | None = None,
                KW: KMatrixResult | None = None) -> CheckReport:
-    """Exact check of the generalized reflection equation on V ⊗ W, solving
-    R once per distinct ordered pair of modules among V, W and their twists."""
+    """Exact check of the generalized reflection equation on V ⊗ W."""
     KV = KV if KV is not None else solve_K(V, twist, shift, params)
     KW = KW if KW is not None else solve_K(W, twist, shift, params)
     Vt, Wt = KV.realized.target, KW.realized.target
-    solved = []  # (X, Y, R(X, Y))
 
-    def R(X: Rep, Y: Rep) -> Mat:
-        for X0, Y0, m in solved:
-            if X0.same_module(X) and Y0.same_module(Y):
-                return m
-        solved.append((X, Y, solve_R(X, Y).matrix))
-        return solved[-1][2]
+    def R(X: Rep, Y: Rep, z) -> Mat:
+        return solve_R(X, Y).matrix.substitute({"z": z})
 
-    woz = (w_var / z_var)
-    # R(V, W) first, so that a module the twist fixes reuses it
-    R_VW = R(V, W).substitute({"z": woz})
-    R_tt = permute(R(Wt, Vt).substitute({"z": woz}), swap(Wt.dim, Vt.dim))
-    R_tW = R(Vt, W).substitute({"z": z_var * w_var})
-    R_tV = permute(R(Wt, V).substitute({"z": z_var * w_var}),
-                   swap(Wt.dim, V.dim))
+    woz, zw = w_var / z_var, z_var * w_var
+    R_VW = R(V, W, woz)
+    R_tt = permute(R(Wt, Vt, woz), swap(Wt.dim, Vt.dim))
+    R_tW = R(Vt, W, zw)
+    R_tV = permute(R(Wt, V, zw), swap(Wt.dim, V.dim))
     Kv = kron(KV.matrix, Mat.identity(W.dim))
     Kw = kron(Mat.identity(V.dim), KW.matrix.substitute({"z": w_var}))
     return check_product([R_tt, Kw, R_tW, Kv], [Kv, R_tV, Kw, R_VW])

@@ -40,6 +40,12 @@ class NotInvertible(LinalgError):
     pass
 
 
+class KernelDimension(LinalgError):
+    def __init__(self, k):
+        self.k = k
+        super().__init__(f"intertwiner kernel has dimension {k}, expected 1")
+
+
 class Mat:
     """Matrix with :class:`Rat` entries."""
 
@@ -400,13 +406,16 @@ class SpanBasis:
 
 
 def intertwiner_kernel(pairs: list[tuple[Mat, Mat]],
-                       unknowns: dict[tuple[int, int], int]) -> list[list[Rat]]:
-    """Kernel of X ↦ (X·A − B·X) over the ``(A, B)`` pairs, with X supported
-    on ``unknowns``, which maps an entry (row, col) of X to its coordinate.
+                       unknowns: dict[tuple[int, int], int]) -> Mat:
+    """The kernel of X ↦ (X·A − B·X) over the ``(A, B)`` pairs, with X
+    supported on ``unknowns``, which maps an entry (row, col) of X to its
+    coordinate; the kernel must be a line.
 
     The system gets one row per entry (r, c) of each pair's equation, in pair
     order and then in (r, c) order; rows whose coefficients are all zero are
-    skipped. Returns a basis of the kernel as coordinate vectors.
+    skipped. Returns the line's vector as a matrix, which is 1 at its last
+    nonzero unknown (:meth:`SpanBasis.nullspace`); raises KernelDimension
+    when the kernel is not a line.
     """
     nunk = len(unknowns)
     span = SpanBasis(nunk)
@@ -433,7 +442,13 @@ def intertwiner_kernel(pairs: list[tuple[Mat, Mat]],
                     for u, x in coeffs.items():
                         row[u] = x
                     span.add(row)
-    return span.nullspace()
+    kernel = span.nullspace()
+    if len(kernel) != 1:
+        raise KernelDimension(len(kernel))
+    X = Mat.zeros(pairs[0][0].nrows)
+    for (r, c), u in unknowns.items():
+        X.data[r][c] = kernel[0][u]
+    return X
 
 
 def square_size(mats: list[Mat]) -> int:

@@ -11,9 +11,10 @@ so further modules can be plugged in directly.
 The builders make each module from one unit-point module per (kind, size),
 built once: the evaluation point a enters only through E_0 = a·E_0° and
 F_0 = a⁻¹·F_0°, and the other matrices are the unit-point module's own.
-The Chevalley pullback (ωτ)*V_a with τ(0) = 0 is the pullback of V_1, built
-once per unit module, at the point a⁻¹: it sends E_0 to -F_0 = -a⁻¹·F_0°.
-Modules are not written to after they are built.
+Under the orbit rule of :func:`braid.realize_twist` (τ(0) = 0, and node 0
+outside X and Y) the twist of V_a is the twist of V_1 at the point a⁻¹, so
+every solve on the orbit of a unit-point module can be done once, at that
+module. Modules are not written to after they are built.
 """
 
 from __future__ import annotations
@@ -35,14 +36,15 @@ class RepError(Exception):
 class Rep:
     """A module given by its generator matrices and basis weights.
 
-    ``point`` is the evaluation point a of a builder's module, whose node-0
-    matrices are a^{±1} times those of the unit-point module ``_unit``, or
-    a⁻¹ for the pullback of such a module along ω∘τ with τ(0) = 0. Every
-    other module (twists, conjugates, other pullbacks, tensors, and copies
-    made by ``dataclasses.replace``) has ``point = 1`` and is its own
-    unit-point module. ``_pullback_of`` is (U, τ) for a module built as
-    (ωτ)*U by :func:`pullback_chevalley_tau`. Equality and hashing are by
-    identity; :meth:`same_action` and :meth:`same_module` compare modules.
+    ``point`` is the evaluation point a of a module made by
+    :func:`_at_point`, whose node-0 matrices are a^{±1} times those of the
+    unit-point module ``_unit``: a builder's module, or a⁻¹ for the twist of
+    one under the orbit rule of :func:`braid.realize_twist`. Every other
+    module (other twists, conjugates, pullbacks, tensors, and copies made by
+    ``dataclasses.replace``) has ``point = 1`` and is its own unit-point
+    module. ``_pullback_of`` is (U, τ) for a module built as (ωτ)*U by
+    :func:`pullback_chevalley_tau`. Equality and hashing are by identity;
+    :meth:`same_action` and :meth:`same_module` compare modules.
     """
 
     cartan: CartanDatum
@@ -316,24 +318,8 @@ def tensor(v: Rep, w: Rep) -> Rep:
 
 def pullback_chevalley_tau(rep: Rep, tau) -> Rep:
     """Pullback along ω ∘ τ (Chevalley involution composed with a diagram
-    automorphism): E_i ↦ -F_{τ(i)}, F_i ↦ -E_{τ(i)}, K_i ↦ K_{τ(i)}^{-1}.
-
-    When τ(0) = 0 and ``rep`` is V_a at point a, only node 0 carries a, and
-    its E_0 = -a⁻¹·F_0°, F_0 = -a·E_0°: the result is the memoized pullback
-    of V_1 at the point a⁻¹."""
+    automorphism): E_i ↦ -F_{τ(i)}, F_i ↦ -E_{τ(i)}, K_i ↦ K_{τ(i)}^{-1}."""
     tau = tuple(tau)
-    if rep._unit is None or tau[0] != 0:
-        return _pullback(rep, tau)
-    return _at_point(_unit_pullback(rep._unit, tau), rep.point.inv(),
-                     f"(ωτ)*({rep.label})")
-
-
-@lru_cache(maxsize=None)
-def _unit_pullback(unit: Rep, tau: tuple[int, ...]) -> Rep:
-    return _pullback(unit, tau)
-
-
-def _pullback(rep: Rep, tau: tuple[int, ...]) -> Rep:
     cd = rep.cartan
     E = {i: -rep.F[tau[i]] for i in cd.nodes}
     F = {i: -rep.E[tau[i]] for i in cd.nodes}

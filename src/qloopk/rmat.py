@@ -16,8 +16,9 @@ V_1 ⊗ W_{1,u} at u = z·b/a, and nothing else depends on a, b or z. The
 builders reject points that involve z or w, so u ↦ z·b/a is an injective
 map of fields: kernel dimension, the highest-weight pivot and the scaling
 carry over, and every entry is the canonical fraction a direct solve gives.
-The same holds for the Chevalley pullbacks of builder modules, which have
-their own unit-point modules and the point a⁻¹ (:mod:`repcore`). Other
+The same holds for the twists of builder modules under the orbit rule,
+which have the point a⁻¹ and a unit-point module of their own, or V_1
+itself when the twist fixes V_1 (:mod:`braid`). Other
 modules have point 1 and are solved as they are; their action must not
 involve z or w either.
 
@@ -39,20 +40,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .linalg import (Mat, intertwiner_kernel, kron, permute, product_residual,
-                     rank, swap)
+from .linalg import (KernelDimension, Mat, intertwiner_kernel, kron, permute,
+                     product_residual, rank, swap)
 from .repcore import Rep, coproduct
 from .scalars import PoleAtPoint, Rat, z as z_var
 
 
 class RmatError(Exception):
     pass
-
-
-class KernelDimension(RmatError):
-    def __init__(self, k):
-        self.k = k
-        super().__init__(f"intertwiner kernel has dimension {k}, expected 1")
 
 
 class NoHighestWeightVector(RmatError):
@@ -104,7 +99,7 @@ def _flipped(v: Rep, w: Rep) -> Mat | None:
         return None
     try:
         return permute(solve_R(U2, U1).matrix, swap(w.dim, v.dim))
-    except RmatError:
+    except (RmatError, KernelDimension):
         return None
 
 
@@ -112,7 +107,6 @@ def _flipped(v: Rep, w: Rep) -> Mat | None:
 def _solve_unit(v: Rep, w: Rep) -> RMatrixResult:
     """The intertwiner solve itself; the memo is keyed on module identity
     and never hands out its matrix (solve_R substitutes into a copy)."""
-    n = v.dim * w.dim
     classes = _tensor_weight_classes(v, w)
     # unknowns: (r, c) with equal class
     unk: dict[tuple[int, int], int] = {}
@@ -131,13 +125,7 @@ def _solve_unit(v: Rep, w: Rep) -> RMatrixResult:
     pairs = []
     for i in v.cartan.nodes:
         pairs += zip(coproduct(v, w, i, z=z_var), coproduct(v, w, i, op=True, z=z_var))
-    kernel = intertwiner_kernel(pairs, unk)
-    if len(kernel) != 1:
-        raise KernelDimension(len(kernel))
-    sol = kernel[0]
-    R = Mat.zeros(n)
-    for (r, c), u in unk.items():
-        R.data[r][c] = sol[u]
+    R = intertwiner_kernel(pairs, unk)
     if len(top) != 1:
         raise NoHighestWeightVector(
             f"weight-maximal block has dimension {len(top)}")

@@ -389,6 +389,10 @@ class QSPParams:
         object.__setattr__(self, "gamma", {i: Rat(v) for i, v in self.gamma.items()})
         object.__setattr__(self, "sigma", {i: Rat(v) for i, v in self.sigma.items()})
 
+    def __hash__(self):
+        return hash((self.diagram, tuple(sorted(self.gamma.items())),
+                     tuple(sorted(self.sigma.items()))))
+
 
 def theta_on_roots(diagram: SatakeDiagram, mu: RootVec) -> RootVec:
     """theta(mu) = -w_X(tau(mu)) on the affine root lattice."""
@@ -436,9 +440,6 @@ class GradingShift:
         cd = diagram.cartan
         orbit = {0, diagram.tau[0]}
         return GradingShift(cd, tuple(1 if i in orbit else 0 for i in cd.nodes))
-
-    def is_tau_invariant(self, tau) -> bool:
-        return all(self.s[tau[i]] == self.s[i] for i in self.cartan.nodes)
 
     def exponent(self, mu: RootVec) -> Fraction:
         if mu.cartan != self.cartan:

@@ -1,11 +1,12 @@
 import pytest
 
 from qloopk.braid import (BraidError, GaugeInvalid, RealizedTwist, TwistSpec,
-                          braid_SX, cartan_correction, lusztig_T,
+                          braid_SX, cartan_correction, gauge_matrix, lusztig_T,
                           realize_twist, t_theta_matrix, theta_q_Fs)
 from qloopk.linalg import Mat, invert
-from qloopk.repcore import build_eval_rep_sl2, build_vector_rep_slN_eval
-from qloopk.rootdata import GradingShift, QSPParams, SatakeDiagram, affine_A
+from qloopk.repcore import Rep, build_eval_rep_sl2, build_vector_rep_slN_eval
+from qloopk.rootdata import (GradingShift, QSPParams, SatakeDiagram, affine_A,
+                             build_Y0)
 from qloopk.scalars import Rat, const, one, q, zero
 
 
@@ -140,3 +141,58 @@ class TestTwists:
         for rep in (fund, spin1):
             M = t_theta_matrix(rep, d1)
             assert invert(M) @ M == Mat.identity(rep.dim)
+
+
+def _realize_twist_reference(rep, spec):
+    """(conjugator, target) of the twist realized at the module's own point,
+    with the pullback along ω∘τ written out: realize_twist as it was before
+    the orbit rule."""
+    nodes, tau = rep.cartan.nodes, spec.diagram.tau
+    pulled = Rep(rep.cartan, rep.dim, {i: -rep.F[tau[i]] for i in nodes},
+                 {i: -rep.E[tau[i]] for i in nodes},
+                 {i: rep.Kinv(tau[i]) for i in nodes},
+                 tuple(tuple(-wt[tau[i]] for i in nodes) for wt in rep.weights))
+    if spec.gauge == "semi-standard":
+        return Mat.identity(rep.dim), pulled
+    C = gauge_matrix(rep, spec) @ invert(t_theta_matrix(pulled, spec.diagram))
+    return C, pulled.conjugated(C)
+
+
+def _twist_specs(diagram):
+    # the realization takes any diagonal values; admissibility is solve_K's
+    beta = {i: const("g0") ** (i + 1) for i in diagram.cartan.nodes}
+    return {"semi-standard": TwistSpec(diagram, "semi-standard"),
+            "standard": TwistSpec(diagram, "standard"),
+            "auxiliary": TwistSpec(diagram, "auxiliary",
+                                   Y=build_Y0(diagram).X),
+            "diagonal": TwistSpec(diagram, "diagonal", beta=beta)}
+
+
+ORACLE_MODULES = {
+    "spin1/2": (lambda x: build_eval_rep_sl2(1, x), (0, 1)),
+    "spin1": (lambda x: build_eval_rep_sl2(2, x), (0, 1)),
+    "spin3/2": (lambda x: build_eval_rep_sl2(3, x), (0, 1)),
+    "sl3": (lambda x: build_vector_rep_slN_eval(3, x), (0, 2, 1)),
+}
+
+
+class TestRealizationOracle:
+    """realize_twist, which realizes the twist of V_a as that of its
+    unit-point module at the point a⁻¹, against the realization at the
+    module's own point."""
+
+    @pytest.mark.parametrize("gauge", ["semi-standard", "standard",
+                                       "auxiliary", "diagonal"])
+    @pytest.mark.parametrize("module", ORACLE_MODULES)
+    def test_matches_own_point(self, a, module, gauge):
+        build, tau = ORACLE_MODULES[module]
+        diagram = SatakeDiagram(affine_A(len(tau) - 1), (), tau)
+        spec = _twist_specs(diagram)[gauge]
+        for x in (a, Rat(2), 1 + q, Rat(-1), one):
+            V = build(x)
+            realized = realize_twist(V, spec)
+            C, target = _realize_twist_reference(V, spec)
+            assert realized.conjugator == C
+            assert realized.target.weights == target.weights
+            assert realized.target.same_action(target)
+            assert realized.target.point == x.inv()

@@ -3,8 +3,9 @@ from collections import Counter
 
 import pytest
 
-from qloopk import cli, kmat, scalars
+from qloopk import cli, kmat, rmat, scalars
 from qloopk.cli import Scenario, _load_scenario, main
+from qloopk.linalg import intertwiner_kernel
 from qloopk.repcore import build_eval_rep_sl2
 from qloopk.scalars import Rat, one
 
@@ -240,8 +241,10 @@ class TestPipeline:
         assert all(s.get("ok", True) for s in data["stages"].values())
 
     def test_solves_each_K_and_R_once(self, capsys, monkeypatch):
-        # solve-K's K is reused by verify-gre, which solves K_W and four R;
-        # verify-re solves one K and one R, verify-unitarity two K
+        # solve-K's K is reused by verify-gre, which solves K_W; verify-re
+        # solves one K, verify-unitarity two. The memos eliminate K(V_1) under
+        # each twist and parameter set, K(ω*V_1) at sigma = 0, and R on the
+        # orbits (V_1, V_1) and (ω*V_1, V_1), which serve every R
         calls = Counter()
 
         def counted(name, solve):
@@ -250,10 +253,14 @@ class TestPipeline:
                 return solve(*args, **kwargs)
             return wrapper
 
-        for mod, name in ((cli, "solve_K"), (kmat, "solve_K"), (kmat, "solve_R")):
-            monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+        monkeypatch.setattr(cli, "solve_K", counted("solve_K", cli.solve_K))
+        monkeypatch.setattr(kmat, "solve_K", counted("solve_K", kmat.solve_K))
+        for mod, name in ((kmat, "K"), (rmat, "R")):
+            mod._solve_unit.cache_clear()
+            monkeypatch.setattr(mod, "intertwiner_kernel",
+                                counted(name, intertwiner_kernel))
         assert run(capsys, "pipeline", "run", "qonsager-sl2-fundamental")[0] == 0
-        assert calls == {"solve_K": 5, "solve_R": 5}
+        assert calls == {"solve_K": 5, "K": 4, "R": 2}
 
     def test_stages_match_kmatrix(self, capsys):
         code, out = run(capsys, "pipeline", "run", "qonsager-sl2-fundamental",
@@ -277,3 +284,16 @@ class TestScenario:
         st = sc.stage("verify-re")
         assert st.reps["V"].same_module(build_eval_rep_sl2(1, Rat(2)))
         assert st.reps["W"].same_module(build_eval_rep_sl2(1, one))
+
+    def test_diagonal_beta_registers_its_names(self):
+        # β is parsed as γ and σ are, so a name only β uses is registered
+        data = dict(_load_scenario("qonsager-sl2-fundamental"),
+                    twist={"diagonal": {"0": "1/beta_probe", "1": "beta_probe"}})
+        beta = Scenario(data, {}).twist.beta
+        assert str(beta[1]) == "beta_probe" and (beta[0] * beta[1]).is_one()
+
+    def test_diagonal_beta_takes_vars(self):
+        data = dict(_load_scenario("qonsager-sl2-fundamental"),
+                    twist={"diagonal": {"0": "1/g0", "1": "g0"}})
+        twist = Scenario(data, {"g0": Rat(2)}).twist
+        assert twist.to_json() == {"gauge": {"diagonal": {"0": "1/2", "1": "2"}}}

@@ -2,10 +2,10 @@ import dataclasses
 
 import pytest
 
-from qloopk import cli, kmat, repcore
+from qloopk import braid, cli, kmat, rmat
 from qloopk.braid import GaugeInvalid, TwistSpec, realize_twist
 from qloopk.cli import Scenario, _load_scenario
-from qloopk.kmat import (AmbiguousNormalization, KernelDimension, KmatError,
+from qloopk.kmat import (AmbiguousNormalization, KmatError,
                          KMatrixResult, NotRestrictable, check_intertwining,
                          convert_grading, gauge_matrix, normalize_K,
                          normalize_K_paired, qsp_generators, solve_K,
@@ -151,32 +151,35 @@ class TestStandardRE:
         assert rep.ok, rep.detail
 
     def test_equal_modules_solved_once(self, onsager, monkeypatch):
-        # V = W reuses K_V and R_VW; the report is the one two separately
-        # built equal modules give, and an unequal pair still solves twice
-        from qloopk import kmat
+        # V = W eliminates K and R once; the report is the one two separately
+        # built equal modules give, and an unequal pair eliminates each twice
         o = onsager
         V = build_eval_rep_sl2(1, one)
         expected = verify_standard_re(V, build_eval_rep_sl2(1, one),
                                       o["params"], o["shift"])
         calls = []
 
-        def counted(name):
-            solve = getattr(kmat, name)
-
-            def wrapper(*args, **kwargs):
+        def spy(name):
+            def counted(*args):
                 calls.append(name)
-                return solve(*args, **kwargs)
-            return wrapper
+                return intertwiner_kernel(*args)
+            return counted
 
-        for name in ("solve_K", "solve_R"):
-            monkeypatch.setattr(kmat, name, counted(name))
+        def cold():
+            calls.clear()
+            kmat._solve_unit.cache_clear()
+            rmat._solve_unit.cache_clear()
+
+        monkeypatch.setattr(kmat, "intertwiner_kernel", spy("K"))
+        monkeypatch.setattr(rmat, "intertwiner_kernel", spy("R"))
+        cold()
         assert verify_standard_re(V, V, o["params"], o["shift"]) == expected
-        assert sorted(calls) == ["solve_K", "solve_R"]
-        calls.clear()
+        assert sorted(calls) == ["K", "R"]
+        cold()
         rep = verify_standard_re(V, build_eval_rep_sl2(2, one),
                                  o["params"], o["shift"])
         assert rep.ok, rep.detail
-        assert sorted(calls) == ["solve_K", "solve_K", "solve_R", "solve_R"]
+        assert sorted(calls) == ["K", "K", "R", "R"]
 
     def test_not_restrictable(self, onsager):
         d = SatakeDiagram(affine_A(2), (), (1, 0, 2))
@@ -333,12 +336,9 @@ def _solve_K_reference(rep, twist, shift, params, normalize=True):
     src = qsp_generators(rep, params, shift, z)
     tgt = qsp_generators(realized.target, params, shift, z.inv())
     n = rep.dim
-    kernel = intertwiner_kernel(
+    K = intertwiner_kernel(
         [(L, R) for (_, L), (_, R) in zip(src, tgt)],
         {(r, c): r * n + c for r in range(n) for c in range(n)})
-    if len(kernel) != 1:
-        raise KernelDimension(len(kernel))
-    K = Mat([[kernel[0][r * n + c] for c in range(n)] for r in range(n)])
     res = KMatrixResult(K, 1, twist, shift, realized)
     return normalize_K(res, rep) if normalize else res
 
@@ -400,7 +400,7 @@ class TestUnitPointMemo:
             calls.append(args)
             return intertwiner_kernel(*args)
 
-        kmat._unit_kernels.clear()
+        kmat._solve_unit.cache_clear()
         monkeypatch.setattr(kmat, "intertwiner_kernel", counted)
         return calls
 
@@ -438,8 +438,8 @@ class TestUnitPointMemo:
         before = [solve_K(M, *args).to_json() for M in (V, W)]
         const("unit_point_K_probe")  # rebuilds the field
         after = [solve_K(M, *args).to_json() for M in (V, W)]
-        kmat._unit_kernels.clear()
-        repcore._unit_pullback.cache_clear()
+        kmat._solve_unit.cache_clear()
+        braid._realize.cache_clear()
         cold = [solve_K(M, *args).to_json() for M in (V, W)]
         assert before == after == cold == [
             _solve_K_reference(M, *args).to_json() for M in (V, W)]

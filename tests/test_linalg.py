@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qloopk.linalg import (LinalgError, Mat, ShapeMismatch, SpanBasis,
-                           algebra_closure, invert, kron, nullspace, permute,
-                           product_residual, rank, rref, swap)
+from qloopk.linalg import (KernelDimension, LinalgError, Mat, ShapeMismatch,
+                           SpanBasis, algebra_closure, intertwiner_kernel,
+                           invert, kron, nullspace, permute, product_residual,
+                           rank, rref, swap)
 from qloopk.scalars import Rat, one, q, z, zero
 
 
@@ -292,3 +293,14 @@ class TestProductResidual:
             product_residual([], [])
         with pytest.raises(ShapeMismatch):
             product_residual([Mat.identity(2)], [Mat.identity(3)])
+
+
+def test_intertwiner_kernel_is_a_line_as_a_matrix():
+    # X·A = A·X for A = diag(1, q) holds for every diagonal X: a line on the
+    # unknown (0, 0) alone, which comes back as a 2 x 2 matrix, and a plane
+    # on (0, 0) and (1, 1)
+    A = Mat.diagonal([one, q])
+    assert intertwiner_kernel([(A, A)], {(0, 0): 0}) == Mat.diagonal([one, zero])
+    with pytest.raises(KernelDimension) as exc:
+        intertwiner_kernel([(A, A)], {(0, 0): 0, (1, 1): 1})
+    assert exc.value.k == 2

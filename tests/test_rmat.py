@@ -2,13 +2,15 @@ import dataclasses
 
 import pytest
 
-from qloopk import cli, repcore, rmat
+from qloopk import braid, cli, rmat
 from qloopk.braid import realize_twist
+from qloopk.irred import ELL
 from qloopk.linalg import Mat, intertwiner_kernel, kron
 from qloopk.repcore import (Rep, build_eval_rep_sl2, build_vector_rep_slN_eval,
                             coproduct, pullback_chevalley_tau)
-from qloopk.rmat import (KernelDimension, NoHighestWeightVector, RMatrixResult,
-                         _r13, _tensor_weight_classes, detect_degeneration,
+from qloopk.rmat import (NoHighestWeightVector, RMatrixResult, _r13,
+                         _tensor_weight_classes, check_product,
+                         detect_degeneration,
                          solve_R, verify_R_unitarity, verify_YBE)
 from qloopk.scalars import Rat, const, one, parse, q, z
 
@@ -124,10 +126,9 @@ class TestDegeneration:
         assert kind == "regular-invertible"
 
 
-def _solve_R_reference(v, w) -> RMatrixResult:
-    """The intertwiner solve at the modules' own points, with no memo and no
-    substitution: solve_R as it was before it solved at the unit point."""
-    n = v.dim * w.dim
+def _system(v, w):
+    """The weight classes of V ⊗ W, the unknowns R[r, c] within a class, and
+    the (Δ(x), Δ^op(x)) pairs on V ⊗ W_z, in the solver's order."""
     classes = _tensor_weight_classes(v, w)
     unk: dict[tuple[int, int], int] = {}
     for members in classes.values():
@@ -137,15 +138,20 @@ def _solve_R_reference(v, w) -> RMatrixResult:
     pairs = []
     for i in v.cartan.nodes:
         pairs += zip(coproduct(v, w, i, z=z), coproduct(v, w, i, op=True, z=z))
-    kernel = intertwiner_kernel(pairs, unk)
-    if len(kernel) != 1:
-        raise KernelDimension(len(kernel))
-    sol = kernel[0]
-    R = Mat.zeros(n)
-    for (r, c), u in unk.items():
-        R.data[r][c] = sol[u]
-    top = max(classes, key=lambda cw: (sum(cw), cw))
-    block = classes[top]
+    return classes, unk, pairs
+
+
+def _top_class(classes):
+    """The weight-maximal class, by coordinate sum with lex tie-break."""
+    return classes[max(classes, key=lambda cw: (sum(cw), cw))]
+
+
+def _solve_R_reference(v, w) -> RMatrixResult:
+    """The intertwiner solve at the modules' own points, with no memo and no
+    substitution: solve_R as it was before it solved at the unit point."""
+    classes, unk, pairs = _system(v, w)
+    R = intertwiner_kernel(pairs, unk)
+    block = _top_class(classes)
     if len(block) != 1:
         raise NoHighestWeightVector(
             f"weight-maximal block has dimension {len(block)}")
@@ -283,7 +289,7 @@ class TestUnitPointMemo:
         const("orbit_memo_probe")  # rebuilds the field
         after = [solve_R(X, Y).to_json() for X, Y in pairs]
         rmat._solve_unit.cache_clear()
-        repcore._unit_pullback.cache_clear()
+        braid._realize.cache_clear()
         V, W, Vt, Wt = _twisted(build_eval_rep_sl2(1, a),
                                 build_eval_rep_sl2(1, b), onsager)
         pairs = ((V, W), (Wt, Vt), (Vt, W), (Wt, V))
@@ -320,14 +326,74 @@ def _pulled_back(M):
                tuple(tuple(-x for x in wt) for wt in M.weights))
 
 
-def _assert_gre_pairs_direct(V, W, onsager, pairs):
+def _assert_gre_pairs_direct(V, W, onsager, pairs, check=None):
     """solve_R on the (V, W, Vt, Wt) pairs given by index against the direct
-    solve on V, W and their written-out pullbacks."""
+    solve on V, W and their written-out pullbacks, or against ``check``
+    (v, w, result) on the written-out modules."""
     mods = _twisted(V, W, onsager)
     refs = (V, W, _pulled_back(V), _pulled_back(W))
     for i, j in pairs:
-        assert (solve_R(mods[i], mods[j]).to_json()
-                == _solve_R_reference(refs[i], refs[j]).to_json())
+        res = solve_R(mods[i], mods[j])
+        if check is None:
+            assert res.to_json() == _solve_R_reference(refs[i], refs[j]).to_json()
+        else:
+            check(refs[i], refs[j], res)
+
+
+def _rank_mod_ell(pairs, unk) -> int:
+    """Rank modulo ELL of the system X·A = B·X over the (A, B) pairs, with X
+    supported on ``unk``, at a point fixed by the names that occur."""
+    mats = [M for pair in pairs for M in pair]
+    names = sorted({nm for M in mats for row in M.data for x in row
+                    for nm in x.names()})
+    point = {nm: 1009 + 7 * k for k, nm in enumerate(names)}
+    res = [[[0 if x.is_zero() else x.residue(point, ELL) for x in row]
+            for row in M.data] for M in mats]
+    pivots = []  # (lead, row), each row zero at every earlier lead
+    for A, B in zip(res[::2], res[1::2]):
+        n = len(A)
+        for r in range(n):
+            for c in range(n):
+                row = [0] * len(unk)
+                for k in range(n):
+                    if (r, k) in unk:
+                        row[unk[r, k]] += A[k][c]
+                    if (k, c) in unk:
+                        row[unk[k, c]] -= B[r][k]
+                for lead, prow in pivots:
+                    if row[lead] % ELL:
+                        f = row[lead]
+                        row = [x - f * y for x, y in zip(row, prow)]
+                row = [x % ELL for x in row]
+                lead = next((j for j, x in enumerate(row) if x), None)
+                if lead is not None:
+                    inv = pow(row[lead], -1, ELL)
+                    pivots.append((lead, [x * inv % ELL for x in row]))
+    return len(pivots)
+
+
+def _certify_R(v, w, res):
+    """An exact certificate, without elimination, that ``res`` is the direct
+    solve of (v, w): R intertwines Δ with Δ^op on every E_i, F_i and K_i and
+    is zero outside the weight classes, and the system restricted to them has
+    rank (unknowns − 1) at a point modulo ELL. A full-rank specialization
+    bounds the generic kernel to a line, which R (1 at the highest-weight
+    index) spans, normalized as the solver normalizes it. Elimination scales
+    the line to 1 at its last nonzero unknown, so that entry of R is the
+    scalar."""
+    R = res.matrix
+    classes, unk, pairs = _system(v, w)
+    Ks = [(kron(v.K[i], w.K[i]),) * 2 for i in v.cartan.nodes]
+    for A, B in pairs + Ks:
+        assert check_product([R, A], [B, R]).ok
+    n = v.dim * w.dim
+    assert all(R[r, c].is_zero() for r in range(n) for c in range(n)
+               if (r, c) not in unk)
+    (hw,) = _top_class(classes)
+    assert res.kernel_dim == 1 and res.hw_index == hw and R[hw, hw].is_one()
+    assert _rank_mod_ell(pairs, unk) == len(unk) - 1
+    last = max((rc for rc in unk if not R[rc].is_zero()), key=unk.get)
+    assert res.scalar == R[last]
 
 
 SPINS = {"spin1/2": 1, "spin1": 2, "spin3/2": 3}
@@ -349,10 +415,13 @@ class TestOrbitOracle:
     @pytest.mark.parametrize("point", ORBIT_POINTS)
     @pytest.mark.parametrize("spin", SPINS)
     def test_matches_direct_solve(self, a, b, onsager, spin, point):
+        # at spin 3/2 a direct 16 x 16 solve takes about a second, so only
+        # (a, b) is solved directly and the other points are certified
         x, y = ORBIT_POINTS[point](a, b)
+        check = _certify_R if spin == "spin3/2" and point != "a,b" else None
         _assert_gre_pairs_direct(build_eval_rep_sl2(SPINS[spin], x),
                                  build_eval_rep_sl2(SPINS[spin], y), onsager,
-                                 ((0, 1), (3, 2), (2, 1), (3, 0)))
+                                 ((0, 1), (3, 2), (2, 1), (3, 0)), check)
 
     def test_mixed_spins(self, a, b, onsager):
         # the flip of unequal modules: R(ω*U₁, ω*U₂) = P·R(U₂, U₁)·P
