@@ -9,11 +9,11 @@ only up to a global scalar; we pin it by giving the first basis vector
 entry 1.
 
 The orbit rule: when tau(0) = 0, (omega tau)*V_a is (omega tau)*V_1 at the
-point a⁻¹ (E_0 = -a⁻¹·F_0°, F_0 = -a·E_0°). With node 0 also outside X and
-Y, t_theta and the gauge matrix are built from weights and T_i, i ≠ 0, so
-the conjugator C = g·T'⁻¹ does not depend on a either (the semi-standard
-gauge has C = 1). :func:`realize_twist` then realizes the twist of V_a as
-that of V_1, once, at the point a⁻¹.
+point a⁻¹ (E_0 = -a⁻¹·F_0°, F_0 = -a·E_0°). With node 0 also outside X
+(it never lies in the auxiliary gauge's Y), t_theta and the gauge matrix
+are built from weights and T_i, i ≠ 0, so they do not depend on a either.
+:func:`realize_twist` then returns the twist of V_1, realized once, at the
+point a⁻¹.
 """
 
 from __future__ import annotations
@@ -154,12 +154,17 @@ class TwistSpec:
 
     diagram: SatakeDiagram
     gauge: str = "semi-standard"     # semi-standard | standard | auxiliary | diagonal
-    Y: tuple[int, ...] = ()          # for the auxiliary gauge g = S_Y^{-1} S_X
     beta: dict | None = None         # for the diagonal gauge: node -> Rat
 
     def __hash__(self):
-        return hash((self.diagram, self.gauge, self.Y,
+        return hash((self.diagram, self.gauge,
                      tuple(sorted((self.beta or {}).items()))))
+
+    @property
+    def Y(self) -> tuple[int, ...]:
+        """Y of the auxiliary gauge g = S_Y^{-1} S_X: the nodes other than
+        0 and tau(0), the only choice the diagram admits."""
+        return build_Y0(self.diagram).X
 
     @staticmethod
     def from_json(diagram: SatakeDiagram, spec) -> "TwistSpec":
@@ -168,8 +173,12 @@ class TwistSpec:
                 raise GaugeInvalid(f"unknown gauge {spec!r}")
             return TwistSpec(diagram, spec)
         if isinstance(spec, dict) and "auxiliary" in spec:
-            return TwistSpec(diagram, "auxiliary",
-                             Y=tuple(spec["auxiliary"]["Y"]))
+            twist = TwistSpec(diagram, "auxiliary")
+            Y = spec["auxiliary"]["Y"]
+            if len(Y) != len(twist.Y) or set(Y) != set(twist.Y):
+                raise GaugeInvalid(
+                    "auxiliary gauge expects Y = nodes minus {0, tau(0)}")
+            return twist
         if isinstance(spec, dict) and "diagonal" in spec:
             return TwistSpec(diagram, "diagonal",
                              beta={int(k): Rat(v) for k, v in spec["diagonal"].items()})
@@ -210,29 +219,6 @@ class TwistSpec:
                 f"gauge requires gamma(delta) = 1, got {gamma_delta}")
 
 
-@dataclass
-class RealizedTwist:
-    """Concrete realization of psi on one module.
-
-    target carries pi_{psi*(V)}; for every generator x,
-    pi_{psi*(V)}(x) = C · pi_{(omega tau)*(V)}(x) · C^{-1} with C the stored
-    conjugator (identity in the semi-standard case, where psi = omega∘tau).
-    """
-
-    source: Rep
-    spec: TwistSpec
-    conjugator: Mat
-    target: Rep
-
-
-def _aux_diagram(spec: TwistSpec) -> SatakeDiagram:
-    t0 = spec.diagram.tau[0]
-    rest = [i for i in spec.diagram.cartan.nodes if i not in spec.Y]
-    if sorted(rest) != sorted({0, t0}):
-        raise GaugeInvalid("auxiliary gauge expects Y = nodes minus {0, tau(0)}")
-    return build_Y0(spec.diagram)
-
-
 def gauge_matrix(rep: Rep, spec: TwistSpec) -> Mat:
     """Realized matrix of the gauge operator g on the module."""
     if spec.gauge == "semi-standard":
@@ -240,7 +226,7 @@ def gauge_matrix(rep: Rep, spec: TwistSpec) -> Mat:
     if spec.gauge == "standard":
         return Mat.identity(rep.dim)
     if spec.gauge == "auxiliary":
-        return (invert(t_theta_matrix(rep, _aux_diagram(spec)))
+        return (invert(t_theta_matrix(rep, build_Y0(spec.diagram)))
                 @ t_theta_matrix(rep, spec.diagram))
     if spec.gauge == "diagonal":
         beta = spec.beta or {}
@@ -258,33 +244,32 @@ def gauge_matrix(rep: Rep, spec: TwistSpec) -> Mat:
     raise GaugeInvalid(f"unknown gauge {spec.gauge!r}")
 
 
-def realize_twist(rep: Rep, spec: TwistSpec) -> RealizedTwist:
-    """Build pi_{psi*(V)} for psi = Ad(g) ∘ theta_q^{-1}.
+def realize_twist(rep: Rep, spec: TwistSpec) -> Rep:
+    """The module psi*(V) for psi = Ad(g) ∘ theta_q^{-1}.
 
     Generally pi_{psi*(V)}(x) = C · pi_{(omega tau)*(V)}(x) · C^{-1} with
     C = pi_V(g) · T'^{-1}, where T' realizes t_theta on the omega-tau
     pullback. The semi-standard gauge g = t_theta collapses to psi =
-    omega∘tau with identity conjugator. Under the orbit rule (module
-    docstring) the target is that of the unit-point module at the point a⁻¹.
+    omega∘tau, the pullback itself. Under the orbit rule (module docstring)
+    it is the twist of the unit-point module at the point a⁻¹.
     """
     diagram = spec.diagram
     if diagram.tau[0] != 0 or (spec.gauge != "semi-standard"
-                               and 0 in diagram.X + spec.Y):
+                               and 0 in diagram.X):
         return _realize(rep, spec)
-    unit = _realize(rep.unit, spec)
-    return RealizedTwist(rep, spec, unit.conjugator, _at_point(
-        unit.target, rep.point.inv(), f"psi*({rep.label})"))
+    return _at_point(_realize(rep.unit, spec), rep.point.inv(),
+                     f"psi*({rep.label})")
 
 
 @lru_cache(maxsize=16)
-def _realize(rep: Rep, spec: TwistSpec) -> RealizedTwist:
+def _realize(rep: Rep, spec: TwistSpec) -> Rep:
     """The twist realized at the module's own point, memoized on the
     module's identity and the spec's value. A module the twist fixes (same
-    action and weights) is its own target."""
+    action and weights) is returned itself."""
     pulled = pullback_chevalley_tau(rep, spec.diagram.tau)
     if spec.gauge == "semi-standard":
-        C, target = Mat.identity(rep.dim), pulled
+        target = pulled
     else:
         C = gauge_matrix(rep, spec) @ invert(t_theta_matrix(pulled, spec.diagram))
         target = pulled.conjugated(C, label=f"psi*({rep.label})")
-    return RealizedTwist(rep, spec, C, rep if target.same_module(rep) else target)
+    return rep if target.same_module(rep) else target

@@ -31,8 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .braid import (RealizedTwist, TwistSpec, gauge_matrix, realize_twist,
-                    theta_q_Fs)
+from .braid import TwistSpec, gauge_matrix, realize_twist, theta_q_Fs
 from .linalg import Mat, intertwiner_kernel, kron, permute, swap
 from .repcore import Rep, ell_highest_indices
 from .rmat import CheckReport, _first_nonzero, check_product, solve_R
@@ -133,7 +132,7 @@ class KMatrixResult:
     kernel_dim: int
     twist: TwistSpec
     shift: GradingShift
-    realized: RealizedTwist
+    target: Rep                      # the twisted module psi*(V)
     normalization: dict = field(default_factory=dict)
 
     def to_json(self):
@@ -147,13 +146,13 @@ class KMatrixResult:
 def solve_K(rep: Rep, twist: TwistSpec, shift: GradingShift,
             params: QSPParams, normalize: bool = True) -> KMatrixResult:
     twist.check_admissible(shift, params)
-    realized = realize_twist(rep, twist)
+    target = realize_twist(rep, twist)
     if _through_za(twist, shift, params):
         K = _solve_unit(rep.unit, twist, shift, params).substitute(
             {"z": z_var * rep.point})
     else:
-        K = _kernel(rep, realized.target, shift, params)
-    res = KMatrixResult(K, 1, twist, shift, realized)
+        K = _kernel(rep, target, shift, params)
+    res = KMatrixResult(K, 1, twist, shift, target)
     if normalize:
         res = normalize_K(res, rep)
     return res
@@ -175,7 +174,7 @@ def _solve_unit(unit: Rep, twist: TwistSpec, shift: GradingShift,
                 params: QSPParams) -> Mat:
     """The kernel line at the unit point; the memo never hands out its
     matrix (solve_K substitutes into a copy)."""
-    return _kernel(unit, realize_twist(unit, twist).target, shift, params)
+    return _kernel(unit, realize_twist(unit, twist), shift, params)
 
 
 def _kernel(rep: Rep, target: Rep, shift: GradingShift,
@@ -247,7 +246,7 @@ def verify_gre(V: Rep, W: Rep, twist: TwistSpec, shift: GradingShift,
     """Exact check of the generalized reflection equation on V ⊗ W."""
     KV = KV if KV is not None else solve_K(V, twist, shift, params)
     KW = KW if KW is not None else solve_K(W, twist, shift, params)
-    Vt, Wt = KV.realized.target, KW.realized.target
+    Vt, Wt = KV.target, KW.target
 
     def R(X: Rep, Y: Rep, z) -> Mat:
         return solve_R(X, Y).matrix.substitute({"z": z})
@@ -271,16 +270,15 @@ def verify_standard_re(V: Rep, W: Rep, params: QSPParams,
     if 0 in diagram.X or diagram.tau[0] != 0:
         raise NotRestrictable("need 0 not in X and tau(0) = 0")
     from .rootdata import build_Y0
-    y0 = build_Y0(diagram)
-    if y0.tau != diagram.tau:
+    if build_Y0(diagram).tau != diagram.tau:
         return CheckReport(False, "tau differs from the auxiliary automorphism; "
                                   "only the diagrammatic equation holds")
-    twist = TwistSpec(diagram, "auxiliary", Y=y0.X)
+    twist = TwistSpec(diagram, "auxiliary")
     # equal modules have equal K-matrices: solve once
     KV = solve_K(V, twist, shift, params)
     KW = KV if W.same_module(V) else solve_K(W, twist, shift, params)
-    for T, name in ((KV.realized, "V"), (KW.realized, "W")):
-        if not T.target.same_action(T.source):
+    for K, M, name in ((KV, V, "V"), (KW, W, "W")):
+        if not K.target.same_action(M):
             return CheckReport(False, f"twist does not fix {name}; "
                                       "standard form unavailable")
     return verify_gre(V, W, twist, shift, params, KV, KW)
@@ -292,8 +290,8 @@ def verify_K_unitarity(V: Rep, twist: TwistSpec, shift: GradingShift,
     KV = solve_K(V, twist, shift, params)
     if KV.normalization.get("mode") != "gauge-hw":
         return CheckReport(False, "source K not gauge-normalizable")
-    Vt = KV.realized.target
-    if not realize_twist(Vt, twist).target.same_action(V):
+    Vt = KV.target
+    if not realize_twist(Vt, twist).same_action(V):
         raise NotInvolutive("psi^2 does not fix the module")
     Kt = solve_K(Vt, twist, shift, params, normalize=False)
     Kt = normalize_K_paired(Kt, V, twist)
@@ -334,7 +332,7 @@ def convert_grading(Kpr: KMatrixResult, V: Rep) -> Mat:
     cd = V.cartan
     h = cd.rank + 1  # Coxeter number of sl_{n+1}
     h_tau = Fraction(h) if diagram.tau[0] == 0 else Fraction(h + 1, 2)
-    target = Kpr.realized.target
+    target = Kpr.target
     prV = [_pr_value(V, k) for k in range(V.dim)]
     prT = [_pr_value(target, k) for k in range(target.dim)]
     import math
@@ -348,11 +346,12 @@ def convert_grading(Kpr: KMatrixResult, V: Rep) -> Mat:
     return N.apply(lambda e: _rewrite_power(e, H))
 
 
-def check_intertwining(K: Mat, rep: Rep, realized: RealizedTwist,
+def check_intertwining(K: Mat, rep: Rep, target: Rep,
                        shift: GradingShift, params: QSPParams) -> CheckReport:
-    """Residual check that K satisfies every intertwining condition."""
+    """Residual check that K intertwines rep at z with the twisted module
+    ``target`` at 1/z on every coideal generator."""
     src = qsp_generators(rep, params, shift, z_var)
-    tgt = qsp_generators(realized.target, params, shift, z_var.inv())
+    tgt = qsp_generators(target, params, shift, z_var.inv())
     for (name, L), (_, R) in zip(src, tgt):
         report = check_product([K, L], [R, K], label=f"{name} ")
         if not report.ok:

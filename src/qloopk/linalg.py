@@ -143,10 +143,6 @@ class Mat:
             n >>= 1
         return out
 
-    def transpose(self) -> "Mat":
-        return Mat([[self.data[i][j] for i in range(self.nrows)]
-                    for j in range(self.ncols)])
-
     def apply(self, f) -> "Mat":
         return Mat([[f(a) for a in row] for row in self.data])
 
@@ -317,11 +313,6 @@ def rref(m: Mat) -> tuple[Mat, list[int]]:
 
 def rank(m: Mat) -> int:
     return SpanBasis(m.ncols, m.data).dim
-
-
-def nullspace(m: Mat) -> list[list[Rat]]:
-    """Basis of the right kernel, scaled as by :meth:`SpanBasis.nullspace`."""
-    return SpanBasis(m.ncols, m.data).nullspace()
 
 
 def invert(m: Mat) -> Mat:

@@ -12,7 +12,7 @@ The builders make each module from one unit-point module per (kind, size),
 built once: the evaluation point a enters only through E_0 = a·E_0° and
 F_0 = a⁻¹·F_0°, and the other matrices are the unit-point module's own.
 Under the orbit rule of :func:`braid.realize_twist` (τ(0) = 0, and node 0
-outside X and Y) the twist of V_a is the twist of V_1 at the point a⁻¹, so
+outside X) the twist of V_a is the twist of V_1 at the point a⁻¹, so
 every solve on the orbit of a unit-point module can be done once, at that
 module. Modules are not written to after they are built.
 """
@@ -87,8 +87,9 @@ class Rep:
     def conjugated(self, C: Mat, label: str = "") -> "Rep":
         """The equivalent module with action x ↦ C x C^{-1}.
 
-        Requires C to permute-and-scale weight vectors so that the diagonal
-        weight bookkeeping stays valid; a non-diagonal C K_i C^{-1} raises.
+        Every C K_i C^{-1} must be diagonal (else this raises). Then C e_j is
+        a weight vector of e_j's weight, so each e_k with C[k, j] ≠ 0 has
+        that weight: the first such j in row k gives e_k's.
         """
         from .linalg import invert
         Ci = invert(C)
@@ -100,7 +101,9 @@ class Rep:
         for i, m in newK.items():
             if m != Mat.diagonal([m[k, k] for k in range(self.dim)]):
                 raise RepError(f"conjugated K_{i} is not diagonal")
-        weights = _weights_from_K(self.cartan, newK, self.dim)
+        weights = tuple(self.weights[next(j for j, x in enumerate(row)
+                                          if not x.is_zero())]
+                        for row in C.data)
         return Rep(self.cartan, self.dim,
                    {i: conj(self.E[i]) for i in self.cartan.nodes},
                    {i: conj(self.F[i]) for i in self.cartan.nodes},
@@ -115,25 +118,6 @@ def _q_power(expo) -> Rat:
         raise RepError(f"weight exponent {e} is not half-integral")
     from .scalars import p
     return p ** int(half)
-
-
-def _weights_from_K(cartan: CartanDatum, K: dict[int, Mat], dim: int):
-    """Recover integral weights from diagonal K-matrices, K_i = q_i^{lambda(h_i)}."""
-    from .scalars import q
-    weights = []
-    for k in range(dim):
-        row = []
-        for i in cartan.nodes:
-            entry = K[i][k, k]
-            # search small exponents; module weights are tiny here
-            for m in range(-2 * dim - 4, 2 * dim + 5):
-                if entry == _q_power(cartan.d[i] * m):
-                    row.append(Fraction(m))
-                    break
-            else:
-                raise RepError(f"K_{i} entry {entry} is not a power of q_i")
-        weights.append(tuple(row))
-    return tuple(weights)
 
 
 def _evaluation_point(a) -> Rat:

@@ -186,11 +186,10 @@ def verify_YBE(u: Rep, v: Rep, w: Rep,
     return check_product([R12, R13, R23], [R23, R13, R12])
 
 
-def verify_R_unitarity(v: Rep, w: Rep,
-                       Rvw: Mat | None = None, Rwv: Mat | None = None) -> CheckReport:
+def verify_R_unitarity(v: Rep, w: Rep, Rvw: Mat | None = None) -> CheckReport:
     """R_VW(z)^{-1} = (1 2) ∘ R_WV(1/z) ∘ (1 2), checked without inversion."""
     Rvw = Rvw if Rvw is not None else solve_R(v, w).matrix
-    Rwv = Rwv if Rwv is not None else solve_R(w, v).matrix
+    Rwv = solve_R(w, v).matrix
     R21 = permute(Rwv.substitute({"z": z_var.inv()}), swap(w.dim, v.dim))
     return check_product([R21, Rvw], [])
 

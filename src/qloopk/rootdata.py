@@ -454,10 +454,12 @@ def shift_exponent(shift: GradingShift, mu: RootVec) -> int:
     return int(v)
 
 
+@functools.lru_cache(maxsize=None)
 def build_Y0(diagram: SatakeDiagram) -> SatakeDiagram:
     """Auxiliary restricted-rank-one diagram (Y0, eta0) used to recover the
     standard reflection equation: Y0 = nodes minus {0, tau(0)}, eta0 swaps 0
-    with tau(0) and restricts to the opposition involution on Y0."""
+    with tau(0) and restricts to the opposition involution on Y0. Memoized:
+    twists read it on every solve."""
     cd = diagram.cartan
     t0 = diagram.tau[0]
     Y0 = tuple(i for i in cd.nodes if i not in (0, t0))

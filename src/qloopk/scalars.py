@@ -376,7 +376,8 @@ class Rat:
         """Evaluate at a partial assignment of variables/constants.
 
         Raises PoleAtPoint if the (reduced) denominator vanishes there.
-        Zero comes back as is, once the keys are checked.
+        Zero comes back as is, once the keys are checked, and so does every
+        value when the one assignment sends a generator to itself (z ↦ z).
         """
         vals = {}
         for k, v in assignments.items():
@@ -390,7 +391,10 @@ class Rat:
             return self
         f = _frac(self)
         if len(vals) == 1:
-            mapped = _monomial_map(f, *next(iter(vals.items())))
+            (i, v), = vals.items()
+            if v == _field.gens[i]:
+                return self
+            mapped = _monomial_map(f, i, v)
             if mapped is not None:
                 return Rat(mapped)
         # clear the values' denominators to a common power in both parts

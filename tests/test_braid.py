@@ -1,12 +1,12 @@
 import pytest
 
-from qloopk.braid import (BraidError, GaugeInvalid, RealizedTwist, TwistSpec,
-                          braid_SX, cartan_correction, gauge_matrix, lusztig_T,
+from qloopk.braid import (BraidError, GaugeInvalid, TwistSpec, braid_SX,
+                          cartan_correction, gauge_matrix, lusztig_T,
                           realize_twist, t_theta_matrix, theta_q_Fs)
 from qloopk.linalg import Mat, invert
-from qloopk.repcore import Rep, build_eval_rep_sl2, build_vector_rep_slN_eval
-from qloopk.rootdata import (GradingShift, QSPParams, SatakeDiagram, affine_A,
-                             build_Y0)
+from qloopk.repcore import (Rep, build_eval_rep_sl2, build_vector_rep_slN_eval,
+                            verify_relations)
+from qloopk.rootdata import GradingShift, QSPParams, SatakeDiagram, affine_A
 from qloopk.scalars import Rat, const, one, q, zero
 
 
@@ -87,6 +87,8 @@ class TestTwists:
             assert TwistSpec.from_json(d1, ts.to_json()["gauge"]).gauge == spec
         aux = TwistSpec.from_json(d1, {"auxiliary": {"Y": [1]}})
         assert aux.Y == (1,)
+        assert aux.to_json() == {"gauge": {"auxiliary": {"Y": [1]}}}
+        assert TwistSpec.from_json(d1, aux.to_json()["gauge"]) == aux
 
     def test_unknown_gauge(self, d1):
         with pytest.raises(GaugeInvalid):
@@ -103,14 +105,14 @@ class TestTwists:
             tw.check_admissible(shift, bad)
 
     def test_semi_standard_realization(self, fund, d1):
-        rt = realize_twist(fund, TwistSpec(d1, "semi-standard"))
-        assert rt.conjugator.is_identity()
+        Vt = realize_twist(fund, TwistSpec(d1, "semi-standard"))
         # omega tau pullback: E and F swap up to sign, K inverts
-        assert rt.target.K[1] == fund.Kinv(1)
+        assert Vt.K[1] == fund.Kinv(1)
+        assert Vt.E[1] == -fund.F[1] and Vt.F[1] == -fund.E[1]
 
     def test_semi_standard_involutive(self, fund, d1):
         tw = TwistSpec(d1, "semi-standard")
-        twice = realize_twist(realize_twist(fund, tw).target, tw).target
+        twice = realize_twist(realize_twist(fund, tw), tw)
         for i in (0, 1):
             assert twice.E[i] == fund.E[i]
             assert twice.F[i] == fund.F[i]
@@ -118,24 +120,35 @@ class TestTwists:
 
     def test_auxiliary_fixes_selfdual_point(self, d1):
         V = build_eval_rep_sl2(1, one)
-        rt = realize_twist(V, TwistSpec(d1, "auxiliary", Y=(1,)))
+        Vt = realize_twist(V, TwistSpec(d1, "auxiliary"))
         for i in (0, 1):
-            assert rt.target.E[i] == V.E[i]
-            assert rt.target.F[i] == V.F[i]
-            assert rt.target.K[i] == V.K[i]
+            assert Vt.E[i] == V.E[i]
+            assert Vt.F[i] == V.F[i]
+            assert Vt.K[i] == V.K[i]
 
-    def test_auxiliary_rejects_wrong_Y(self, fund, d1):
+    def test_auxiliary_rejects_wrong_Y(self, d1):
         # tau(0) = 0 on d1, so the auxiliary gauge needs Y = (1,)
-        with pytest.raises(GaugeInvalid, match="nodes minus"):
-            realize_twist(fund, TwistSpec(d1, "auxiliary", Y=()))
+        for Y in ([], [0, 1], [1, 1]):
+            with pytest.raises(GaugeInvalid, match="nodes minus"):
+                TwistSpec.from_json(d1, {"auxiliary": {"Y": Y}})
+
+    def test_auxiliary_Y_is_derived(self):
+        # on affine sl3, Y = nodes minus {0, tau(0)}, read in any order
+        for tau, Y in (((0, 2, 1), (1, 2)), ((1, 0, 2), (2,))):
+            d = SatakeDiagram(affine_A(2), (), tau)
+            assert TwistSpec(d, "auxiliary").Y == Y
+            aux = TwistSpec.from_json(d, {"auxiliary": {"Y": list(reversed(Y))}})
+            assert aux == TwistSpec(d, "auxiliary") and aux.Y == Y
+            with pytest.raises(GaugeInvalid):
+                TwistSpec.from_json(d, {"auxiliary": {"Y": [1]}})
 
     def test_auxiliary_inverts_evaluation_point(self, fund, a, d1):
-        rt = realize_twist(fund, TwistSpec(d1, "auxiliary", Y=(1,)))
+        Vt = realize_twist(fund, TwistSpec(d1, "auxiliary"))
         mirror = build_eval_rep_sl2(1, a.inv())
         for i in (0, 1):
-            assert rt.target.E[i] == mirror.E[i]
-            assert rt.target.F[i] == mirror.F[i]
-            assert rt.target.K[i] == mirror.K[i]
+            assert Vt.E[i] == mirror.E[i]
+            assert Vt.F[i] == mirror.F[i]
+            assert Vt.K[i] == mirror.K[i]
 
     def test_t_theta_invertible(self, fund, spin1, d1):
         for rep in (fund, spin1):
@@ -144,18 +157,17 @@ class TestTwists:
 
 
 def _realize_twist_reference(rep, spec):
-    """(conjugator, target) of the twist realized at the module's own point,
-    with the pullback along ω∘τ written out: realize_twist as it was before
-    the orbit rule."""
+    """The twist realized at the module's own point, with the pullback along
+    ω∘τ written out: realize_twist as it was before the orbit rule."""
     nodes, tau = rep.cartan.nodes, spec.diagram.tau
     pulled = Rep(rep.cartan, rep.dim, {i: -rep.F[tau[i]] for i in nodes},
                  {i: -rep.E[tau[i]] for i in nodes},
                  {i: rep.Kinv(tau[i]) for i in nodes},
                  tuple(tuple(-wt[tau[i]] for i in nodes) for wt in rep.weights))
     if spec.gauge == "semi-standard":
-        return Mat.identity(rep.dim), pulled
+        return pulled
     C = gauge_matrix(rep, spec) @ invert(t_theta_matrix(pulled, spec.diagram))
-    return C, pulled.conjugated(C)
+    return pulled.conjugated(C)
 
 
 def _twist_specs(diagram):
@@ -163,8 +175,7 @@ def _twist_specs(diagram):
     beta = {i: const("g0") ** (i + 1) for i in diagram.cartan.nodes}
     return {"semi-standard": TwistSpec(diagram, "semi-standard"),
             "standard": TwistSpec(diagram, "standard"),
-            "auxiliary": TwistSpec(diagram, "auxiliary",
-                                   Y=build_Y0(diagram).X),
+            "auxiliary": TwistSpec(diagram, "auxiliary"),
             "diagonal": TwistSpec(diagram, "diagonal", beta=beta)}
 
 
@@ -190,9 +201,19 @@ class TestRealizationOracle:
         spec = _twist_specs(diagram)[gauge]
         for x in (a, Rat(2), 1 + q, Rat(-1), one):
             V = build(x)
-            realized = realize_twist(V, spec)
-            C, target = _realize_twist_reference(V, spec)
-            assert realized.conjugator == C
-            assert realized.target.weights == target.weights
-            assert realized.target.same_action(target)
-            assert realized.target.point == x.inv()
+            Vt = realize_twist(V, spec)
+            target = _realize_twist_reference(V, spec)
+            assert Vt.weights == target.weights
+            assert Vt.same_action(target)
+            assert Vt.point == x.inv()
+
+    @pytest.mark.parametrize("gauge", ["semi-standard", "standard",
+                                       "auxiliary", "diagonal"])
+    @pytest.mark.parametrize("module", ORACLE_MODULES)
+    def test_twist_is_a_module(self, a, module, gauge):
+        build, tau = ORACLE_MODULES[module]
+        diagram = SatakeDiagram(affine_A(len(tau) - 1), (), tau)
+        spec = _twist_specs(diagram)[gauge]
+        for x in (a, Rat(2), 1 + q, Rat(-1), one):
+            report = verify_relations(realize_twist(build(x), spec))
+            assert report.ok, (x, report.failures)

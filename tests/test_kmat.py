@@ -13,8 +13,7 @@ from qloopk.kmat import (AmbiguousNormalization, KmatError,
 from qloopk.linalg import Mat, intertwiner_kernel, kron, permute, swap
 from qloopk.repcore import build_eval_rep_sl2, pullback_chevalley_tau
 from qloopk.rmat import CheckReport, check_product, solve_R
-from qloopk.rootdata import (GradingShift, QSPParams, SatakeDiagram, affine_A,
-                             build_Y0)
+from qloopk.rootdata import GradingShift, QSPParams, SatakeDiagram, affine_A
 from qloopk.scalars import PoleAtPoint, Rat, const, one, parse, q, w, z, zero
 
 
@@ -51,7 +50,7 @@ class TestSolve:
     def test_kernel_line_and_residual(self, fund, onsager, K_fund):
         o = onsager
         assert K_fund.kernel_dim == 1
-        rep = check_intertwining(K_fund.matrix, fund, K_fund.realized,
+        rep = check_intertwining(K_fund.matrix, fund, K_fund.target,
                                  o["shift"], o["params"])
         assert rep.ok, rep.detail
 
@@ -120,7 +119,7 @@ class TestGRE:
             " - 2*q^4*z^2*a*s1 + 2*q^2*z^2*w*a*b*g0*s0 + q^2*z^2*a*s1"
             " - z^2*w*a*b*g0*s0)/(q^5*z*a - q^3*z^2*w*a^2*b - q^3*w*b"
             " + q*z*w^2*a*b^2)")
-        rep = check_intertwining(bad_m, fund, K_fund.realized,
+        rep = check_intertwining(bad_m, fund, K_fund.target,
                                  o["shift"], o["params"])
         assert rep.detail == "B0 residual at (0,0): (q^2*z*s0 - z*s0)/(q)"
 
@@ -200,7 +199,7 @@ class TestStandardRE:
 
 
 def _auxiliary(diagram):
-    return TwistSpec(diagram, "auxiliary", Y=build_Y0(diagram).X)
+    return TwistSpec(diagram, "auxiliary")
 
 
 def _standard_re_reference(V, W, KV, KW):
@@ -306,7 +305,7 @@ class TestConversion:
                       GradingShift.principal(o["cartan"]), o["params"])
         converted = convert_grading(Kpr, fund)
         direct = solve_K(fund, o["twist"], o["shift"], o["params"])
-        rep = check_intertwining(converted, fund, direct.realized,
+        rep = check_intertwining(converted, fund, direct.target,
                                  o["shift"], o["params"])
         assert rep.ok, rep.detail
 
@@ -332,14 +331,14 @@ def _solve_K_reference(rep, twist, shift, params, normalize=True):
     """The intertwiner solve at the module's own point, with no memo and no
     substitution: solve_K as it was before it solved at the unit point."""
     twist.check_admissible(shift, params)
-    realized = realize_twist(rep, twist)
+    target = realize_twist(rep, twist)
     src = qsp_generators(rep, params, shift, z)
-    tgt = qsp_generators(realized.target, params, shift, z.inv())
+    tgt = qsp_generators(target, params, shift, z.inv())
     n = rep.dim
     K = intertwiner_kernel(
         [(L, R) for (_, L), (_, R) in zip(src, tgt)],
         {(r, c): r * n + c for r in range(n) for c in range(n)})
-    res = KMatrixResult(K, 1, twist, shift, realized)
+    res = KMatrixResult(K, 1, twist, shift, target)
     return normalize_K(res, rep) if normalize else res
 
 
@@ -376,7 +375,7 @@ class TestOrbitOracle:
         # verify_K_unitarity's pair: the gauge-normalized K_V and the
         # unnormalized K of the twisted module at the point 1/a
         assert _solved_alike(V, onsager_sigma0)
-        Vt = realize_twist(V, onsager["twist"]).target
+        Vt = realize_twist(V, onsager["twist"])
         assert _solved_alike(Vt, onsager_sigma0, normalize=False)
 
     @pytest.mark.parametrize("gauge", ["standard", "auxiliary", "diagonal"])
@@ -424,7 +423,7 @@ class TestUnitPointMemo:
         served.matrix.data[0][0] = Rat(7)
         served.matrix.data[1][0] = q
         assert solve_K(W, *args).to_json() == expected
-        Vt = realize_twist(V, o["twist"]).target
+        Vt = realize_twist(V, o["twist"])
         raw = solve_K(Vt, *args, normalize=False)
         expected = raw.to_json()
         normalize_K_paired(raw, V, o["twist"])

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from qloopk.linalg import (KernelDimension, LinalgError, Mat, ShapeMismatch,
                            SpanBasis, algebra_closure, intertwiner_kernel,
-                           invert, kron, nullspace, permute, product_residual,
-                           rank, rref, swap)
+                           invert, kron, permute, product_residual, rank, rref,
+                           swap)
 from qloopk.scalars import Rat, one, q, z, zero
 
 
@@ -30,11 +30,6 @@ class TestMat:
     def test_pow(self):
         m = Mat([[one, one], [zero, one]])
         assert m.pow(3)[0, 1] == Rat(3)
-
-    @given(a=small_mat(2), b=small_mat(2))
-    @settings(max_examples=30, deadline=None)
-    def test_transpose_antihomomorphism(self, a, b):
-        assert (a @ b).transpose() == b.transpose() @ a.transpose()
 
     @given(a=small_mat(2), b=small_mat(2), c=small_mat(2))
     @settings(max_examples=30, deadline=None)
@@ -79,18 +74,19 @@ class TestKronFlip:
         m = kron(a, b)
         assert permute(m, swap(2, 3)) == kron(b, a)
         assert permute(permute(m, swap(2, 3)), swap(3, 2)) == m
-        # permute is conjugation by the permutation matrix P e_k = e_{perm[k]}
-        P = Mat.zeros(6)
+        # permute is conjugation by the permutation matrix P e_k = e_{perm[k]},
+        # whose inverse sends e_{perm[k]} back to e_k
+        P, Pinv = Mat.zeros(6), Mat.zeros(6)
         for k, target in enumerate(swap(2, 3)):
-            P.data[target][k] = one
-        assert permute(m, swap(2, 3)) == P @ m @ P.transpose()
+            P.data[target][k] = Pinv.data[k][target] = one
+        assert permute(m, swap(2, 3)) == P @ m @ Pinv
 
 
 class TestSolvers:
     def test_rank_and_nullspace(self):
         m = Mat([[one, q], [q, q * q]])
         assert rank(m) == 1
-        ns = nullspace(m)
+        ns = SpanBasis(m.ncols, m.data).nullspace()
         assert len(ns) == 1
         v = ns[0]
         assert all((m[i, 0] * v[0] + m[i, 1] * v[1]).is_zero() for i in range(2))
@@ -148,7 +144,7 @@ def test_nullspace_matches_rref(ncols, dependent, data):
         c = data.draw(_KERNEL_CELL)
         rows.append([c * x + y for x, y in zip(rows[0], rows[-1])])
     m = Mat(rows)
-    ker = nullspace(m)
+    ker = SpanBasis(m.ncols, m.data).nullspace()
     r, pivots = rref(m)
     assert rank(m) == len(pivots)
     assert len(ker) == ncols - len(pivots)

@@ -8,7 +8,7 @@ from qloopk.repcore import (RepError, build_eval_rep_sl2, build_rep,
                             build_vector_rep_slN_eval, coproduct,
                             ell_highest_indices, pullback_chevalley_tau,
                             tensor, verify_relations)
-from qloopk.scalars import Rat, const, one, parse, q, zero
+from qloopk.scalars import Rat, const, one, p, parse, q, zero
 
 
 class TestBuilders:
@@ -109,6 +109,16 @@ class TestRelations:
         assert report.ok, report.failures
 
 
+def _weights_read_off_K(rep):
+    """Each weight λ(h_i) as the m with K_i = q_i^m, searched over
+    |m| ≤ 2·dim + 4: the weights of a conjugate as they were once found."""
+    bound = 2 * rep.dim + 4
+    return tuple(tuple(next(Fraction(m) for m in range(-bound, bound + 1)
+                            if rep.K[i][k, k] == p ** (2 * rep.cartan.d[i] * m))
+                       for i in rep.cartan.nodes)
+                 for k in range(rep.dim))
+
+
 class TestStructure:
     def test_ell_highest_fundamental(self, fund):
         assert ell_highest_indices(fund) == [0]
@@ -132,7 +142,7 @@ class TestStructure:
         # of V_a; the semi-standard twist realizes it as the pullback of V_1
         # at the point a⁻¹
         V, W = build_eval_rep_sl2(spin2, a), build_eval_rep_sl2(spin2, b)
-        Vt, Wt = (realize_twist(M, onsager["twist"]).target for M in (V, W))
+        Vt, Wt = (realize_twist(M, onsager["twist"]) for M in (V, W))
         for i in (0, 1):
             assert Vt.E[i] == -V.F[i] and Vt.F[i] == -V.E[i]
             assert Vt.K[i] == V.Kinv(i)
@@ -149,11 +159,22 @@ class TestStructure:
         report = verify_relations(pullback_chevalley_tau(fund, (0, 1)))
         assert report.ok, report.failures
 
-    def test_conjugated_recovers_weights(self, fund):
-        C = Mat([[zero, one], [one, zero]])
-        flipped = fund.conjugated(C)
-        assert flipped.weights[0] == fund.weights[1]
-        assert verify_relations(flipped).ok
+    def test_conjugated_recovers_weights(self, fund, spin1, a):
+        # a swap, a 3-cycle (its rows and columns differ) and a scaled
+        # 4-cycle on spin 3/2, each a monomial C e_j = c_j e_{perm[j]}
+        spin3 = build_eval_rep_sl2(3, a)
+        cases = ((fund, (1, 0), (one, one)),
+                 (spin1, (1, 2, 0), (one, one, one)),
+                 (spin3, (1, 3, 0, 2), (q, Rat(2), -a, one + q)))
+        for rep, perm, scale in cases:
+            C = Mat.zeros(rep.dim)
+            for j, (k, c) in enumerate(zip(perm, scale)):
+                C.data[k][j] = c
+            moved = rep.conjugated(C)
+            assert moved.weights == _weights_read_off_K(moved)
+            assert all(moved.weights[k] == rep.weights[j]
+                       for j, k in enumerate(perm))
+            assert verify_relations(moved).ok
 
     def test_conjugated_rejects_nondiagonal_K(self, fund):
         # C = [[1, 1], [0, 1]] mixes the two weight vectors: C K_1 C^-1 has

@@ -314,7 +314,7 @@ class TestUnitPointMemo:
 def _twisted(V, W, onsager):
     """V, W and their twisted modules Vt, Wt, as verify_gre forms them."""
     twist = onsager["twist"]
-    return V, W, realize_twist(V, twist).target, realize_twist(W, twist).target
+    return V, W, realize_twist(V, twist), realize_twist(W, twist)
 
 
 def _pulled_back(M):

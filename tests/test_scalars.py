@@ -134,6 +134,13 @@ class TestParseSubstitute:
         x = z ** 2 + q
         assert x.substitute({"z": Rat(2)}) == q + Rat(4)
 
+    def test_identity_substitution_returns_value(self):
+        # z ↦ z (R at equal points, K at a = 1) maps nothing
+        x = (z * w - q) / (z ** 2 + const("a"))
+        assert x.substitute({"z": z}) is x
+        assert x.substitute({"p": p}) is x
+        assert x.substitute({"z": w}) == (w * w - q) / (w ** 2 + const("a"))
+
     @pytest.mark.parametrize("value", [zero, Rat(0) * z],
                              ids=["zero", "product"])
     def test_substitute_zero(self, value):
