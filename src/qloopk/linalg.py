@@ -12,20 +12,38 @@ Tensor legs are moved by :func:`permute`, which reindexes entries instead of
 multiplying by permutation matrices.
 
 Product identities ``A1 A2 ... = B1 B2 ...`` are decided by
-:func:`product_residual` over common denominators: each distinct factor is
-cleared once to polynomial numerators, and only polynomials are multiplied
-and compared. A side's denominator stays a list of per-factor lcms, and lcms
-equal on both sides cancel: both sides of a Yang-Baxter or reflection
-equation multiply the same factors (or R and its flip R_21, which share an
-lcm) in another order, so their cleared products are compared directly, and
-only the first differing entry, if any, is divided out.
+:func:`product_residual` on sparse integer data, without a ``Mat`` or a
+``Rat`` per term:
+
+* **Clearing.** Each distinct factor becomes sparse rows of polynomial
+  numerators over the lcm of its entry denominators, each distinct entry
+  cleared once. Lcms equal on both sides cancel (both sides of a
+  Yang-Baxter or reflection equation multiply the same factors, or R and
+  its flip R_21, in another order); with the leftovers, ``L/dl == R/dr``
+  becomes ``L*dr == R*dl``.
+* **Packing.** The generator of largest degree among the numerators and
+  the leftover lcms goes to 2**B (:func:`~qloopk.scalars.kronecker`). An
+  entry of a product is a sum, over the inner indices, of products of one
+  numerator per factor, so by ||f*g||_1 <= ||f||_1 ||g||_1 its coefficients
+  are at most (product of the inner dimensions) * prod(largest l1 norm of
+  a numerator of each factor) * ||other side's leftover lcm||_1. The two
+  sides' bounds add up to M, a bound for the difference ``L*dr - R*dl``,
+  and B is the least width with 2**B > M.
+* **Comparing.** The packed rows are multiplied touching nonzeros only and
+  compared row by row. Substitution at 2**B is a ring homomorphism that
+  sends no nonzero polynomial with coefficients below 2**B to zero, so a
+  packed entry of the difference vanishes exactly when the exact one does:
+  the check decides both ways, and the first packed entry that differs is
+  the first exact one. Only that entry is recomputed unpacked and divided
+  out.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
-from .scalars import Rat, clear_denominators, one, zero
+from .scalars import Rat, clear_denominators, kronecker, one, zero
 
 
 class LinalgError(Exception):
@@ -225,55 +243,112 @@ def permute(m: Mat, perm: list[int]) -> Mat:
 def product_residual(lhs: list[Mat], rhs: list[Mat]):
     """Decide ``prod(lhs) == prod(rhs)`` exactly; an empty side is the identity.
 
-    Each distinct factor is cleared once to polynomial numerators over the lcm
-    of its entry denominators, and the numerator matrices are multiplied with
-    no gcd. With the products written L/dl and R/dr, each side's denominator
-    is kept as its list of per-factor lcms; factors equal on both sides
-    (compared as polynomials) cancel, leaving L*dr' == R*dl' over the
-    leftovers, a plain ``L == R`` when nothing is left. Returns None when the
-    products are equal, and otherwise ``(i, j, value)`` for the first nonzero
-    entry of ``prod(lhs) - prod(rhs)`` in row-major order; only that entry is
-    divided out.
+    Returns None when the products are equal, and otherwise ``(i, j, value)``
+    for the first nonzero entry of ``prod(lhs) - prod(rhs)`` in row-major
+    order, the canonical fraction. The module docstring says how it is
+    decided.
     """
+    return _residual(lhs, rhs)
+
+
+def _residual(lhs: list[Mat], rhs: list[Mat], width: int | None = None):
+    """:func:`product_residual`, packed at ``width`` bits instead of the
+    proven width when one is given, which can make the answer wrong."""
     if not lhs and not rhs:
         raise LinalgError("no factors")
     n = (lhs or rhs)[0].nrows
-    cleared: dict[int, tuple[Mat, Rat]] = {}
-    (L, dl), (R, dr) = (_cleared_product(side or [Mat.identity(n)], cleared)
-                        for side in (lhs, rhs))
-    if L.shape() != R.shape():
+    if _chain_shape(lhs, n) != _chain_shape(rhs, n):
         raise ShapeMismatch("product_residual: shapes differ")
+    cleared: dict[int, _Cleared] = {}
+    for m in lhs + rhs:
+        if id(m) not in cleared:
+            cleared[id(m)] = _clear(m)
+    sides = [[cleared[id(m)] for m in side] for side in (lhs, rhs)]
+    ring = next(iter(cleared.values())).den.ring
+    dl, dr = ([c.den for c in side if c.den != 1] for side in sides)
     shared = []
     for d in dl[:]:
         if d in dr:
             dl.remove(d)
             dr.remove(d)
             shared.append(d)
-    dl, dr = (math.prod(ds, start=one) for ds in (dl, dr))
-    for i, (lrow, rrow) in enumerate(zip(L.data, R.data)):
-        for j, (x, y) in enumerate(zip(lrow, rrow)):
-            x = x if dr.is_one() else x * dr
-            y = y if dl.is_one() else y * dl
-            if x != y:
-                return i, j, (x - y) / math.prod(shared, start=dl * dr)
+    # L/dl == R/dr  <=>  L*dr == R*dl over the leftover lcms
+    scales = [math.prod(dr, start=ring.one), math.prod(dl, start=ring.one)]
+    if width is None:
+        bound = sum(_coefficient_bound(side, s) for side, s in zip(sides, scales))
+        width = max(1, bound.bit_length())
+    polys = {id(x): x for c in cleared.values() for row in c.rows
+             for x in row.values()}
+    polys.update((id(s), s) for s in scales)
+    packed = dict(zip(polys, kronecker(list(polys.values()), width)))
+    L, R = (_product([[{j: packed[id(x)] for j, x in row.items()} for row in c.rows]
+                      for c in side], packed[id(s)], range(n))
+            for side, s in zip(sides, scales))
+    for i, (a, b) in enumerate(zip(L, R)):
+        if a != b:
+            j = min(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+            x, y = (_product([c.rows for c in side], s, [i])[0].get(j, 0)
+                    for side, s in zip(sides, scales))
+            return i, j, Rat(x - y) / Rat(math.prod(shared + dl + dr, start=ring.one))
     return None
 
 
-def _cleared_product(factors: list[Mat], cleared: dict) -> tuple[Mat, list[Rat]]:
-    """``(N, dens)`` with polynomial entries such that ``prod(factors)`` is
-    N over the product of ``dens``, one lcm per factor that has a nontrivial
-    one. ``cleared`` caches each factor's clearing by identity."""
-    num, dens = None, []
-    for m in factors:
-        if id(m) not in cleared:
-            values, d = clear_denominators(x for row in m.data for x in row)
-            cleared[id(m)] = (Mat([values[i * m.ncols:(i + 1) * m.ncols]
-                                   for i in range(m.nrows)]), d)
-        c, d = cleared[id(m)]
-        num = c if num is None else num @ c
-        if not d.is_one():
-            dens.append(d)
-    return num, dens
+def _chain_shape(factors: list[Mat], n: int) -> tuple[int, int]:
+    """The shape of ``prod(factors)``, the n x n identity when there are none."""
+    for a, b in zip(factors, factors[1:]):
+        if a.ncols != b.nrows:
+            raise ShapeMismatch("product_residual: inner dimensions differ")
+    return (factors[0].nrows, factors[-1].ncols) if factors else (n, n)
+
+
+class _Cleared(NamedTuple):
+    """A matrix as sparse rows ``{col: numerator}`` of polynomials over
+    ``den``, the lcm of its entry denominators, with ``norm`` the largest
+    l1 norm of a numerator."""
+    rows: list[dict]
+    den: object
+    norm: int
+
+
+def _clear(m: Mat) -> _Cleared:
+    """``m`` cleared to nonzero numerators. Each distinct entry is cleared
+    once: ``kron(R, I)`` repeats every entry of R as the same object."""
+    values = {id(x): x for row in m.data for x in row}
+    values = {k: x for k, x in values.items() if x}
+    nums, den = clear_denominators(values.values())
+    num = dict(zip(values, nums))
+    rows = [{j: num[id(x)] for j, x in enumerate(row) if id(x) in num}
+            for row in m.data]
+    return _Cleared(rows, den, max((x.l1_norm() for x in nums), default=0))
+
+
+def _coefficient_bound(side: list[_Cleared], scale) -> int:
+    """The bound of the module docstring on the integer coefficients of the
+    cleared product ``side`` times ``scale``."""
+    inner = math.prod(len(c.rows) for c in side[1:])
+    return inner * math.prod(c.norm for c in side) * scale.l1_norm()
+
+
+def _product(factors: list[list[dict]], scale, rows) -> list[dict]:
+    """The rows ``rows`` of the product of the sparse ``factors`` (lists of
+    rows ``{col: entry}``) times ``scale``; no factors is the identity."""
+    if not factors:
+        return [{i: scale} for i in rows]
+    out = [factors[0][i] for i in rows]
+    for m in factors[1:]:
+        out = [_row_times(row, m) for row in out]
+    if scale != 1:
+        out = [{k: x * scale for k, x in row.items()} for row in out]
+    return out
+
+
+def _row_times(row: dict, m: list[dict]) -> dict:
+    """A sparse row times sparse rows ``m``, touching nonzeros only."""
+    acc = {}
+    for j, a in row.items():
+        for k, b in m[j].items():
+            acc[k] = acc[k] + a * b if k in acc else a * b
+    return {k: x for k, x in acc.items() if x}
 
 
 def rref(m: Mat) -> tuple[Mat, list[int]]:

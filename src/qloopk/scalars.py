@@ -21,16 +21,20 @@ denominator, and a sum cancels only against the gcd of the two denominators.
 No gcd is ever taken of an unreduced numerator and denominator, and the
 results are exactly the canonical forms the field itself would give.
 :func:`clear_denominators` puts values over one common denominator, so that
-products of many values can be formed in the polynomial ring, without gcds.
+products of many values can be formed in the polynomial ring, without gcds,
+and :func:`kronecker` packs such polynomials into integer coefficients of
+one generator fewer.
 
-Arithmetic and :func:`clear_denominators` take every gcd in the ring of
-only the generators its two operands contain (:func:`_cofactors`), and none
-against a denominator 1, where nothing can cancel. sympy's heuristic gcd
-costs a pass per generator of its ring, so a gcd then costs the same however
-many constants are registered. The result is the same polynomial: a gcd
-does not depend on generators neither operand contains, and dropping zero
-exponents keeps the graded-lex order of the others, so sympy fixes its sign
-from the same leading term.
+Arithmetic and :func:`clear_denominators` take every gcd through
+:func:`_cofactors`, and none against a denominator 1, where nothing can
+cancel. It settles a monomial operand, equal or opposite operands, and
+operands whose generators nest without sympy's heuristic gcd, and takes
+every other gcd in the ring of only the generators its two operands
+contain. sympy's heuristic gcd costs a pass per generator of its ring, so a
+gcd then costs the same however many constants are registered. The result
+is the same polynomial: a gcd does not depend on generators neither operand
+contains, and dropping zero exponents keeps the graded-lex order of the
+others, so sympy fixes its sign from the same leading term.
 
 :meth:`Rat.substitute` sends one generator to a Laurent monomial with
 coefficient 1 (the spectral maps z ↦ w/z, z·w, w, 1/z, z^M) by remapping
@@ -66,6 +70,7 @@ import sympy as sp
 from sympy.polys.domains import ZZ
 from sympy.polys.fields import FracElement, FracField
 from sympy.polys.orderings import grlex
+from sympy.polys.rings import PolyElement
 
 
 class ScalarError(Exception):
@@ -141,6 +146,8 @@ def _frac(x) -> FracElement:
         return f
     if isinstance(x, FracElement):  # made in the current field
         return x
+    if isinstance(x, PolyElement):  # in the current field's ring
+        return _field.raw_new(x)
     ring = _field.ring
     if isinstance(x, int):
         return _field.raw_new(ring.ground_new(x))
@@ -189,27 +196,67 @@ def _compact(ring, used: tuple):
 
 
 def _cofactors(f, g):
-    """``f.cofactors(g)``: the gcd h and the quotients f/h and g/h, computed
-    in the ring of only the generators that ``f`` or ``g`` contain and
-    returned in ``f``'s ring. Arithmetic and :func:`clear_denominators` take
-    every gcd here.
+    """``f.cofactors(g)``: the gcd h and the quotients f/h and g/h. Arithmetic
+    and :func:`clear_denominators` take every gcd here. Four cases, in order:
 
-    sympy's heuristic gcd evaluates, interpolates and trial-divides once per
-    generator of its ring, so a generator that neither operand contains
-    costs as much as one they do. The gcd does not depend on such
-    generators, and dropping their zero exponents keeps the graded-lex order
-    of the others, so sympy fixes the sign from the same leading term and
-    all three results equal the full ring's exactly. (Were the heuristic
-    ever to settle a different sign, h and both cofactors would flip
-    together, which leaves every reduced fraction built from them
-    unchanged.) Monomial operands
-    (sympy's gcd does not recurse on them) and operands that use every
-    generator go straight to ``f.cofactors(g)``.
+    * a monomial operand: the integer gcd of all coefficients times the
+      smallest exponents, as sympy's ``_gcd_monom`` gives it, with no call
+      into sympy;
+    * f = ±g: h is f with the sign below;
+    * the generators of one operand a strict subset of the other's: h is
+      the gcd of the smaller operand and each coefficient of the larger one
+      with respect to the extra generators, stopping at 1. A common divisor
+      divides the smaller operand, so it does not contain the extra
+      generators, and then it divides the larger operand exactly when it
+      divides each of those coefficients;
+    * otherwise sympy's gcd, in the ring of only the generators that ``f``
+      or ``g`` contain (or sympy's own ``cofactors`` when they use every
+      generator). Its heuristic gcd evaluates, interpolates and
+      trial-divides once per generator of its ring, so a generator that
+      neither operand contains costs as much as one they do. The gcd does
+      not depend on such generators, and dropping their zero exponents
+      keeps the graded-lex order of the others.
+
+    sympy divides the exponents of both operands by their common divisors
+    before its heuristic gcd, which gives h a positive leading coefficient
+    in the graded-lex order of those divided exponents when it succeeds at
+    its first interpolation. The second and third cases fix the sign by
+    that rule (:func:`_sign_as_sympy`), and all three results equal sympy's
+    exactly for coefficients of the sizes that occur here. With coefficients
+    in the thousands the heuristic can settle later, with the other sign
+    (f = g = -7p^2 - 4852p - 693 gives h = f); h and both cofactors then
+    flip together, which leaves every reduced fraction built from them
+    unchanged.
     """
     ring = f.ring
-    if len(f) <= 1 or len(g) <= 1:
+    if not f or not g:
         return f.cofactors(g)
-    used = tuple(i for i, k in enumerate(map(max, zip(*f, *g))) if k)
+    if len(f) == 1 or len(g) == 1:
+        (m, c), = (f if len(f) == 1 else g).items()
+        for mx, cx in (g if len(f) == 1 else f).items():
+            m, c = ring.monomial_gcd(m, mx), ZZ.gcd(c, cx)
+        return (ring.dtype({m: c}),) + tuple(
+            ring.dtype({ring.monomial_ldiv(mx, m): cx // c for mx, cx in x.items()})
+            for x in (f, g))
+    if len(f) == len(g) and (f == g or f == -g):
+        s = _sign_as_sympy(f, f, g)
+        return f.mul_ground(s), ring(s), ring(s if f == g else -s)
+    fused, gused = ({i for i, k in enumerate(map(max, zip(*x))) if k} for x in (f, g))
+    if fused < gused or gused < fused:
+        small, large = (f, g) if fused < gused else (g, f)
+        extra = tuple(sorted(fused ^ gused))
+        coeffs: dict[tuple, dict] = {}
+        for m, c in large.items():
+            coeffs.setdefault(tuple(m[i] for i in extra), {})[
+                tuple(0 if i in extra else k for i, k in enumerate(m))] = c
+        h = small
+        for c in coeffs.values():
+            h = _cofactors(h, ring.dtype(c))[0]
+            if h.is_ground and abs(h.LC) == 1:
+                return ring.one, f, g
+        h = h.mul_ground(_sign_as_sympy(h, f, g))
+        return h, f.exquo(h), g.exquo(h)
+    used = tuple(sorted(fused | gused))
     if len(used) == ring.ngens:
         return f.cofactors(g)
     small, pick, back = _compact(ring, used)
@@ -217,6 +264,15 @@ def _cofactors(f, g):
                  .cofactors(small.dtype({pick(m): c for m, c in g.items()})))
     return tuple(ring.dtype({back(m + (0,)): c for m, c in poly.items()})
                  for poly in (h, cf, cg))
+
+
+def _sign_as_sympy(h, f, g) -> int:
+    """±1, whichever gives ``h`` a positive leading coefficient in graded-lex
+    order once its exponents are divided by the gcd of each generator's
+    exponents in ``f`` and ``g``, as sympy deflates them before a gcd."""
+    J = [math.gcd(*col) or 1 for col in zip(*f, *g)]
+    _, c = max(h.items(), key=lambda t: grlex(tuple(map(operator.floordiv, t[0], J))))
+    return 1 if c > 0 else -1
 
 
 def _lcm(f, g):
@@ -442,9 +498,10 @@ class Rat:
         return f"Rat({str(self)!r})"
 
 
-def clear_denominators(values) -> tuple[list[Rat], Rat]:
+def clear_denominators(values) -> tuple[list, object]:
     """Polynomial numerators of ``values`` over one common denominator ``den``,
-    the lcm of their denominators: ``values[k] == numerators[k] / den``.
+    the lcm of their denominators, all in the field's polynomial ring:
+    ``values[k] == numerators[k] / den``.
 
     Takes one lcm per distinct denominator and clears each value by an exact
     quotient, with no other gcd.
@@ -456,8 +513,35 @@ def clear_denominators(values) -> tuple[list[Rat], Rat]:
         if not _is_one(d) and d != den:
             den = d if _is_one(den) else _lcm(den, d)
     quo = {d: den.exquo(d) for d in distinct}
-    return ([Rat(_field.raw_new(f.numer * quo[f.denom])) if f else zero for f in fs],
-            Rat(_field.raw_new(den)))
+    return [f.numer * quo[f.denom] for f in fs], den
+
+
+def kronecker(polys: list, width: int) -> list:
+    """Kronecker substitution (L. Kronecker, 1882): ``polys`` with their
+    generator of largest degree (the first on ties) sent to 2**width, as
+    polynomials with integer coefficients in the other generators they use,
+    or as integers when there are none.
+
+    Substitution is a ring homomorphism, and it is one-to-one on polynomials
+    whose integer coefficients are below 2**width in absolute value: if such
+    an h is nonzero, let c be its lowest coefficient at some monomial of
+    the other generators; 2**width does not divide c, so h is not 0 there.
+    """
+    degrees = [max(col) for col in zip(*(f.degrees() for f in polys if f))] or [0]
+    gen = degrees.index(max(degrees))
+    rest = tuple(i for i, k in enumerate(degrees) if k and i != gen)
+    if not rest:
+        return [sum(c << width * m[gen] for m, c in f.items()) for f in polys]
+    small, pick, _ = _compact(polys[0].ring, rest)
+    out = []
+    for f in polys:
+        g = small.zero
+        for m, c in f.items():
+            k = pick(m)
+            g[k] = g.get(k, 0) + (c << width * m[gen])
+        g.strip_zero()
+        out.append(g)
+    return out
 
 
 def _scaled(poly, content) -> "Poly":

@@ -6,6 +6,12 @@ The files under ``tests/golden/`` are rewritten from the current code by
     PYTHONPATH=src python3 tests/test_cli_golden.py
 
 which should only be done for a deliberate change of output.
+
+``pipeline-run-qonsager-sl2-spin3half.stdout`` is not replayed here, because
+a run takes several seconds; CI compares it, and it is rewritten by
+
+    PYTHONPATH=src python3 -m qloopk.cli pipeline run qonsager-sl2-spin3half \
+        > tests/golden/pipeline-run-qonsager-sl2-spin3half.stdout
 """
 
 import contextlib

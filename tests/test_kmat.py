@@ -11,7 +11,8 @@ from qloopk.kmat import (AmbiguousNormalization, KmatError,
                          normalize_K_paired, qsp_generators, solve_K,
                          verify_K_unitarity, verify_gre, verify_standard_re)
 from qloopk.linalg import Mat, intertwiner_kernel, kron, permute, swap
-from qloopk.repcore import build_eval_rep_sl2, pullback_chevalley_tau
+from qloopk.repcore import (build_eval_rep_sl2, build_vector_rep_slN_eval,
+                             pullback_chevalley_tau)
 from qloopk.rmat import CheckReport, check_product, solve_R
 from qloopk.rootdata import GradingShift, QSPParams, SatakeDiagram, affine_A
 from qloopk.scalars import PoleAtPoint, Rat, const, one, parse, q, w, z, zero
@@ -258,6 +259,83 @@ class TestSpin1Scenario:
         sc = Scenario(_load_scenario("qonsager-sl2-spin1"), {}).stage("verify-re")
         rep = verify_standard_re(sc.reps["V"], sc.reps["W"], sc.params, sc.shift)
         assert rep.ok, rep.detail
+
+
+class TestProductChecks:
+    """The product checks behind YBE, GRE, R- and K-unitarity and
+    intertwining, on sparse packed integers."""
+
+    @pytest.fixture
+    def matmuls(self, monkeypatch):
+        """Counts ``Mat.__matmul__`` calls made inside ``check_product``."""
+        inside, calls = [], []
+        matmul, check = Mat.__matmul__, rmat.product_residual
+
+        def counted(self, other):
+            if inside:
+                calls.append(1)
+            return matmul(self, other)
+
+        def residual(lhs, rhs):
+            inside.append(1)
+            try:
+                return check(lhs, rhs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(Mat, "__matmul__", counted)
+        monkeypatch.setattr(rmat, "product_residual", residual)
+        return calls
+
+    def test_no_matmul_in_sl3_ybe(self, a, b, matmuls):
+        u, v, w = (build_vector_rep_slN_eval(3, x) for x in (a, b, const("c")))
+        assert rmat.verify_YBE(u, v, w).ok
+        assert matmuls == []
+
+    def test_no_matmul_in_spin1_gre(self, matmuls):
+        sc = Scenario(_load_scenario("qonsager-sl2-spin1"), {})
+        assert verify_gre(sc.reps["V"], sc.reps["W"], sc.twist, sc.shift,
+                          sc.params).ok
+        assert matmuls == []
+
+    def test_failure_details(self, a, b, fund, fund_b, onsager, K_fund):
+        """Failing checks name the first nonzero entry of the difference by
+        the same canonical fraction as the dense ``Mat`` products did."""
+        o = onsager
+        U = build_eval_rep_sl2(1, const("c"))
+        R = solve_R(fund, fund_b).matrix
+        K = K_fund.matrix
+        # R23 at the wrong spectral value
+        wrong = R.substitute({"z": z * z})
+        assert rmat.verify_YBE(fund, fund_b, U, Rvw=wrong).detail == (
+            'residual at (1,2): (q^5*z*w^2*a*b^2 - q^5*z*w*a^2*c -'
+            ' 2*q^3*z*w^2*a*b^2 + 2*q^3*z*w*a^2*c + q*z*w^2*a*b^2 -'
+            ' q*z*w*a^2*c)/(q^6*a^3 - q^4*z*w*a^2*c - q^4*w^2*a^2*b -'
+            ' q^4*z*a^2*b + q^2*z*w^3*a*b*c + q^2*z^2*w*a*b*c +'
+            ' q^2*z*w^2*a*b^2 - z^2*w^3*b^2*c)')
+        # R21(z) R(z) is not the identity
+        Rwv = permute(solve_R(fund_b, fund).matrix, swap(2, 2))
+        assert check_product([Rwv, R], []).detail == (
+            'residual at (1,1): (q^2*z^2*a*b - q^2*a*b - z^2*a*b +'
+            ' a*b)/(q^4*a*b - q^2*z*a^2 - q^2*z*b^2 + z^2*a*b)')
+        # K(1/z) K(z) against the identity: every lcm left over
+        assert check_product([K.substitute({"z": z.inv()}), K], [],
+                             label="K ").detail == (
+            'K residual at (0,0): (-q^4*z^3*a^3*g0*s0*s1 + q^4*z^4*a^2*s1^2'
+            ' + q^4*z^2*a^2*g0^2*s0^2 - q^4*z^3*a*g0*s0*s1 +'
+            ' 2*q^2*z^3*a^3*g0*s0*s1 - 2*q^2*z^4*a^2*s1^2 -'
+            ' 2*q^2*z^2*a^2*g0^2*s0^2 + 2*q^2*z^3*a*g0*s0*s1 -'
+            ' z^3*a^3*g0*s0*s1 + z^4*a^2*s1^2 + z^2*a^2*g0^2*s0^2 -'
+            ' z^3*a*g0*s0*s1)/(q^2*z^4*a^2 - q^2*z^2*a^4 - q^2*z^2 +'
+            ' q^2*a^2)')
+        # [K, L] against [R, K] with K at the wrong spectral parameter
+        assert check_intertwining(K.substitute({"z": w}), fund, K_fund.target,
+                                  o["shift"], o["params"]).detail == (
+            'B0 residual at (0,0): (-q^2*z^2*w*a^2*g0*s0 +'
+            ' q^2*z*w^2*a^2*g0*s0 + q^2*z^2*a*s1 - q^2*w^2*a*s1 -'
+            ' q^2*z*g0*s0 + q^2*w*g0*s0 + z^2*w*a^2*g0*s0 - z*w^2*a^2*g0*s0'
+            ' - z^2*a*s1 + w^2*a*s1 + z*g0*s0 - w*g0*s0)/(q*z*w^2*a^2*g0 -'
+            ' q*z*g0)')
 
 
 class TestUnitarity:

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qloopk import linalg
 from qloopk.linalg import (KernelDimension, LinalgError, Mat, ShapeMismatch,
                            SpanBasis, algebra_closure, intertwiner_kernel,
-                           invert, kron, permute, product_residual, rank, rref,
-                           swap)
-from qloopk.scalars import Rat, one, q, z, zero
+                           _residual, invert, kron, permute, product_residual,
+                           rank, rref, swap)
+from qloopk.scalars import Rat, kronecker, one, p, q, z, zero
 
 
 def small_mat(n):
@@ -217,10 +218,20 @@ def _square(n):
 
 
 def _product(factors, n):
-    out = Mat.identity(n)
+    out = Mat.identity(factors[0].nrows if factors else n)
     for m in factors:
         out = out @ m
     return out
+
+
+def _rectangular(rows, cols):
+    return st.lists(st.sampled_from(_ENTRIES), min_size=rows * cols,
+                    max_size=rows * cols).map(
+        lambda xs: Mat([xs[i * cols:(i + 1) * cols] for i in range(rows)]))
+
+
+def _chain(data, dims):
+    return [data.draw(_rectangular(r, c)) for r, c in zip(dims, dims[1:])]
 
 
 def _first_difference(a, b):
@@ -233,14 +244,16 @@ def _first_difference(a, b):
 
 @given(n=st.integers(1, 3),
        mode=st.sampled_from(["random", "equal", "mismatch", "zero", "permuted",
-                             "intertwine"]),
+                             "intertwine", "rectangular", "one-sided"]),
        data=st.data())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 def test_product_residual_matches_mat_products(n, mode, data):
     """None exactly when the Mat products agree; otherwise the first entry
     of their difference. Covers empty (identity) sides, a zero factor, a
-    one-entry mismatch, sides that share factors in permuted order, and
-    ``[K, L]`` against ``[R, K]``, where K's denominator cancels."""
+    one-entry mismatch, sides that share factors in permuted order,
+    ``[K, L]`` against ``[R, K]``, where K's denominator cancels, chains of
+    rectangular factors, and one side against the identity, where the
+    lcms of that side are all left over (as in K-unitarity)."""
     lhs = data.draw(st.lists(_square(n), max_size=3))
     if mode == "zero":
         lhs = lhs + [Mat.zeros(n)]
@@ -262,6 +275,24 @@ def test_product_residual_matches_mat_products(n, mode, data):
             B = data.draw(_square(n))
         lhs, rhs = [K, A], [B, K]
         L = _product(lhs, n)
+    elif mode == "rectangular":
+        dims = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+        lhs = _chain(data, dims)
+        L = _product(lhs, n)
+        inner = data.draw(st.lists(st.integers(1, 3), max_size=2))
+        rhs = data.draw(st.sampled_from([
+            [L],                                      # equal
+            lhs[:-2] + [_product(lhs[-2:], n)],       # regrouped, equal
+            _chain(data, [dims[0], *inner, dims[-1]])]))
+    elif mode == "one-sided":
+        K = data.draw(_square(n))
+        try:
+            other = invert(K) if data.draw(st.booleans()) else data.draw(_square(n))
+        except LinalgError:
+            other = K
+        lhs = [other, K]
+        L = _product(lhs, n)
+        rhs = []
     else:
         rhs = data.draw(st.lists(_square(n), max_size=2))
     if not lhs and not rhs:
@@ -289,6 +320,34 @@ class TestProductResidual:
             product_residual([], [])
         with pytest.raises(ShapeMismatch):
             product_residual([Mat.identity(2)], [Mat.identity(3)])
+        with pytest.raises(ShapeMismatch):
+            product_residual([Mat.zeros(2, 3), Mat.zeros(2, 2)], [Mat.zeros(2)])
+
+    def test_width_is_the_bound(self, monkeypatch):
+        """Entries that differ by 2^(B-1) - p, where B is the proven width:
+        packed at B bits the check tells them apart, packed at B - 1 bits
+        (p -> 2^(B-1)) it does not, so the bound is what makes it sound."""
+        widths = []
+
+        def spy(polys, width):
+            widths.append(width)
+            return kronecker(polys, width)
+
+        monkeypatch.setattr(linalg, "kronecker", spy)
+        B = 12
+        lhs, rhs = [Mat([[p + 1]])], [Mat([[Rat(2 ** (B - 1) + 1)]])]
+        assert product_residual(lhs, rhs) == (0, 0, p - 2 ** (B - 1))
+        # ||p + 1||_1 + ||2^(B-1) + 1||_1 = 2051 < 2^B
+        assert widths == [B]
+        assert _residual(lhs, rhs, B) == (0, 0, p - 2 ** (B - 1))
+        assert _residual(lhs, rhs, B - 1) is None
+        # the same in 2 x 2 products sharing a factor with denominator p
+        m = Mat([[one / p, p], [one, p * p]])
+        lhs = [m, Mat.diagonal([p + 1, one])]
+        rhs = [m, Mat.diagonal([Rat(2 ** (B - 1) + 1), one])]
+        assert _residual(lhs, rhs, B) == (0, 0, (p - 2 ** (B - 1)) / p)
+        assert _residual(lhs, rhs, B - 1) is None
+        assert product_residual(lhs, rhs) == (0, 0, (p - 2 ** (B - 1)) / p)
 
 
 def test_intertwiner_kernel_is_a_line_as_a_matrix():

@@ -343,9 +343,9 @@ def test_henrici_matches_field_operators(nf, df, ng, dg, denominators):
 def test_clear_denominators():
     values = [zero, one / (q - z), z / (q * (q - z)), Rat(Fraction(-3, 2)), w]
     nums, den = clear_denominators(values)
-    assert den.den() == one.den()
-    assert [n.den() for n in nums] == [one.den()] * len(values)
-    assert [n / den for n in nums] == values
+    ring = scalars._field.ring
+    assert all(x.ring == ring for x in nums + [den])
+    assert [Rat(n) / Rat(den) for n in nums] == values
 
 
 @given(dens=st.lists(_denominators, min_size=1, max_size=4))
@@ -362,7 +362,7 @@ def test_clear_denominators_takes_sympys_lcm(dens):
         if d != 1 and d != ref:
             ref = d if ref == 1 else ref.lcm(d)
     _, den = clear_denominators(values)
-    assert (den.f.numer, den.f.denom) == (ref, field.ring.one)
+    assert den == ref
 
 
 # -- gcds in the ring of the operands' generators ----------------------------
@@ -409,6 +409,47 @@ def test_compact_cofactors_equal_full_ring_cofactors(pair):
     assert mine == ref
     if f and g:
         assert scalars._lcm(f, g) == f.lcm(g)
+
+
+@st.composite
+def _cofactor_cases(draw):
+    """A pair for each case of ``scalars._cofactors``: a monomial operand,
+    f = ±g, the generators of one operand a strict subset of the other's,
+    and two operands on arbitrary generators; the last three share a
+    random factor."""
+    case = draw(st.sampled_from(["monomial", "sign", "subset", "other"]))
+    gens = st.sets(st.integers(0, _N - 1))
+    if case == "monomial":
+        mono = _gcd_operand(draw(gens)).filter(lambda f: len(f) == 1)
+        f = draw(mono)
+        g = draw(st.one_of(mono, _gcd_operand(draw(gens))))
+        return (f, g) if draw(st.booleans()) else (g, f)
+    small = draw(gens)
+    large = small | draw(gens) if case == "subset" else draw(gens)
+    c = draw(_gcd_operand(small)) or _GCD_RING.one
+    f = draw(_gcd_operand(small)) * c
+    if case == "sign":
+        return f, draw(st.sampled_from([1, -1])) * f
+    g = draw(_gcd_operand(large)) * c
+    return (f, g) if draw(st.booleans()) else (g, f)
+
+
+_P, _Z = _GCD_RING.gens[:2]
+
+
+@given(pair=_cofactor_cases())
+# sympy takes the sign after dividing the exponents of p by 2, which puts z^2
+# ahead of p^2: h = f, though the leading coefficient of f is -1
+@example(pair=(-_P ** 2 + _Z ** 2 + _Z, _P ** 2 - _Z ** 2 - _Z))
+@example(pair=((_P ** 2 + 1) * (_GCD_RING.gens[3] - 2), _P ** 4 - 1))  # subset
+@settings(max_examples=200, deadline=None)
+def test_cofactor_cases_equal_sympys(pair):
+    """Every case of ``_cofactors`` gives exactly ``f.cofactors(g)``: the
+    same gcd, sign included, and the same cofactors, in the same ring."""
+    f, g = pair
+    mine = scalars._cofactors(f, g)
+    assert all(x.ring == _GCD_RING for x in mine)
+    assert mine == f.cofactors(g)
 
 
 def test_gcds_ignore_unused_generators(monkeypatch):
