@@ -131,7 +131,15 @@ def cartan_correction(rep: Rep, diagram: SatakeDiagram) -> Mat:
 
 
 def t_theta_matrix(rep: Rep, diagram: SatakeDiagram) -> Mat:
-    """Realized matrix of t_theta = xi_theta * S_X on the module."""
+    """Realized matrix of t_theta = xi_theta * S_X on the module, built once
+    per module and diagram and shared: no caller writes to it. It reads only
+    the weights and the E_i, F_i of nodes i in X, so with node 0 outside X a
+    module shares it with its unit-point module."""
+    return _t_theta(rep if 0 in diagram.X else rep.unit, diagram)
+
+
+@lru_cache(maxsize=32)
+def _t_theta(rep: Rep, diagram: SatakeDiagram) -> Mat:
     return cartan_correction(rep, diagram) @ braid_SX(rep, diagram)
 
 

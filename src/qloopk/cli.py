@@ -23,7 +23,7 @@ from .repcore import RepError, build_rep, tensor, verify_relations
 from .rmat import detect_degeneration, solve_R, verify_R_unitarity, verify_YBE
 from .rootdata import (GradingShift, QSPParams, SatakeDiagram, affine_A,
                        validate_gsat)
-from .scalars import _NAME, PoleAtPoint, Rat, parse as parse_rat
+from .scalars import _NAME, ParseError, PoleAtPoint, Rat, parse_all
 
 
 class UsageError(Exception):
@@ -32,15 +32,15 @@ class UsageError(Exception):
 
 # -- input parsing --------------------------------------------------------
 
-def _parse_value(s: str) -> Rat:
-    """Parse a scalar expression, registering bare identifiers as named
-    constants once the value has parsed (the CLI is where new evaluation
-    points and parameters enter the system)."""
-    from .scalars import ParseError
+def _parse_values(texts: list[str]) -> list[Rat]:
+    """Parse scalar expressions, registering their bare identifiers as named
+    constants together, once every value has parsed (the CLI is where new
+    evaluation points and parameters enter the system)."""
     try:
-        return parse_rat(s, register=True)
+        return parse_all(texts, register=True)
     except ParseError as exc:
         raise UsageError(str(exc))
+
 
 def _parse_vars(s: str | None) -> dict:
     """``--vars`` names constants only: p, z and w are never substituted
@@ -68,8 +68,8 @@ def _parse_point(s: str | None, option: str) -> dict:
             raise UsageError("substitute p, not q")
         if k in out:
             raise UsageError(f"{option} names {k!r} twice")
-        out[k] = _parse_value(v.strip())
-    return out
+        out[k] = v.strip()
+    return dict(zip(out, _parse_values(list(out.values()))))
 
 
 def _substituted(x: Rat, vars: dict) -> Rat:
@@ -95,11 +95,10 @@ def _rep_spec(s: str) -> dict:
                      "eval-vector:<N>:<a>")
 
 
-def _build(s: str, vars: dict):
-    spec = _rep_spec(s)
-    spec["a"] = _substituted(_parse_value(str(spec["a"])), vars)
+def _build(s: str, a: Rat):
+    """The module ``s`` names, at the point ``a``."""
     try:
-        return build_rep(spec)
+        return build_rep(dict(_rep_spec(s), a=a))
     except RepError as exc:
         raise UsageError(f"module {s!r}: {exc}")
 
@@ -149,15 +148,22 @@ class Scenario:
         self.diagram = SatakeDiagram(self.cartan, tuple(dg.get("X", ())),
                                      tuple(dg["tau"]))
 
-        def values(m: dict) -> dict:
-            return {int(k): _substituted(_parse_value(v), vars)
-                    for k, v in m.items()}
-
-        self.params = QSPParams(self.diagram, values(data["gamma"]),
-                                values(data["sigma"]))
         twist = data.get("twist", "semi-standard")
-        if isinstance(twist, dict) and "diagonal" in twist:
-            twist = {"diagonal": values(twist["diagonal"])}
+        diagonal = isinstance(twist, dict) and "diagonal" in twist
+        texts = {"gamma": data["gamma"], "sigma": data["sigma"],
+                 "diagonal": twist["diagonal"] if diagonal else {},
+                 "reps": {k: _rep_spec(v)["a"] for k, v in data["reps"].items()}}
+        # all values parse before any name is registered: one field build
+        parsed = iter(_parse_values([v for m in texts.values() for v in m.values()]))
+        values = {key: {k: _substituted(next(parsed), vars) for k in m}
+                  for key, m in texts.items()}
+
+        def nodes(key: str) -> dict:
+            return {int(k): v for k, v in values[key].items()}
+
+        self.params = QSPParams(self.diagram, nodes("gamma"), nodes("sigma"))
+        if diagonal:
+            twist = {"diagonal": nodes("diagonal")}
         self.twist = TwistSpec.from_json(self.diagram, twist)
         shift = data.get("shift", "tau-minimal")
         if shift == "tau-minimal":
@@ -166,7 +172,8 @@ class Scenario:
             self.shift = GradingShift.principal(self.cartan)
         else:
             raise UsageError(f"unknown shift {shift!r}")
-        self.reps = {k: _build(v, vars) for k, v in data["reps"].items()}
+        self.reps = {k: _build(data["reps"][k], a)
+                     for k, a in values["reps"].items()}
 
     @functools.cached_property
     def K(self):
@@ -179,7 +186,7 @@ class Scenario:
         stage_vars = self.data.get("stage_vars", {}).get(name)
         if not stage_vars:
             return self
-        extra = {k: _parse_value(v) for k, v in stage_vars.items()}
+        extra = dict(zip(stage_vars, _parse_values(list(stage_vars.values()))))
         extra.update(self.vars)
         return Scenario(self.data, extra)
 
@@ -255,7 +262,8 @@ def _reps_from_args(args, vars, need: int):
     specs = args.rep or []
     if len(specs) != need:
         raise UsageError(f"expected {need} --rep arguments, got {len(specs)}")
-    reps = [_build(s, vars) for s in specs]
+    points = _parse_values([_rep_spec(s)["a"] for s in specs])
+    reps = [_build(s, _substituted(a, vars)) for s, a in zip(specs, points)]
     if any(r.cartan != reps[0].cartan for r in reps):
         raise UsageError("--rep modules must share one Cartan datum")
     return reps

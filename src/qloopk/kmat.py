@@ -22,7 +22,9 @@ the canonical vector, and normalization runs on the module itself.
 
 Twists, K and R are memoized per unit-point module (``lru_cache`` on its
 identity and the values of twist, shift and parameters), so the checks
-below just ask for every matrix they need.
+below just ask for every matrix they need. :func:`verify_gre` takes each R
+at its spectral value w/z or z·w straight from the unit-point solution
+(:func:`rmat._R_at`), one substitution per R.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from functools import lru_cache
 from .braid import TwistSpec, gauge_matrix, realize_twist, theta_q_Fs
 from .linalg import Mat, intertwiner_kernel, kron, permute, swap
 from .repcore import Rep, ell_highest_indices
-from .rmat import CheckReport, _first_nonzero, check_product, solve_R
+from .rmat import CheckReport, _first_nonzero, _R_at, check_product
 from .rootdata import (GradingShift, QSPParams, SatakeDiagram,
                        classical_in_root_basis, shift_exponent,
                        theta_on_coroots, theta_on_roots)
@@ -247,15 +249,11 @@ def verify_gre(V: Rep, W: Rep, twist: TwistSpec, shift: GradingShift,
     KV = KV if KV is not None else solve_K(V, twist, shift, params)
     KW = KW if KW is not None else solve_K(W, twist, shift, params)
     Vt, Wt = KV.target, KW.target
-
-    def R(X: Rep, Y: Rep, z) -> Mat:
-        return solve_R(X, Y).matrix.substitute({"z": z})
-
     woz, zw = w_var / z_var, z_var * w_var
-    R_VW = R(V, W, woz)
-    R_tt = permute(R(Wt, Vt, woz), swap(Wt.dim, Vt.dim))
-    R_tW = R(Vt, W, zw)
-    R_tV = permute(R(Wt, V, zw), swap(Wt.dim, V.dim))
+    R_VW = _R_at(V, W, woz)
+    R_tt = permute(_R_at(Wt, Vt, woz), swap(Wt.dim, Vt.dim))
+    R_tW = _R_at(Vt, W, zw)
+    R_tV = permute(_R_at(Wt, V, zw), swap(Wt.dim, V.dim))
     Kv = kron(KV.matrix, Mat.identity(W.dim))
     Kw = kron(Mat.identity(V.dim), KW.matrix.substitute({"z": w_var}))
     return check_product([R_tt, Kw, R_tW, Kv], [Kv, R_tV, Kw, R_VW])

@@ -4,7 +4,7 @@ Matrices are small (at most a few hundred rows) but their entries are
 multivariate rational functions, so the cost model is dominated by entry
 arithmetic, not by dimension. The elimination routines therefore pick pivots
 of smallest total degree to keep intermediate entries small, and the matrix
-product skips structural zeros.
+product, sums, scaling and substitution skip structural zeros.
 
 Every linear system is eliminated once, by :class:`SpanBasis`: rank and kernel
 are read off its reduced rows. :func:`rref` is kept for :func:`invert` only.
@@ -43,7 +43,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .scalars import Rat, clear_denominators, kronecker, one, zero
+from .scalars import (Rat, check_targets, clear_denominators, kronecker, one,
+                      zero)
 
 
 class LinalgError(Exception):
@@ -116,13 +117,15 @@ class Mat:
     def __add__(self, other: "Mat") -> "Mat":
         if self.shape() != other.shape():
             raise ShapeMismatch("add: shapes differ")
-        return Mat([[a + b for a, b in zip(r1, r2)]
+        return Mat([[b if a.is_zero() else a if b.is_zero() else a + b
+                     for a, b in zip(r1, r2)]
                     for r1, r2 in zip(self.data, other.data)])
 
     def __sub__(self, other: "Mat") -> "Mat":
         if self.shape() != other.shape():
             raise ShapeMismatch("sub: shapes differ")
-        return Mat([[a - b for a, b in zip(r1, r2)]
+        return Mat([[a if b.is_zero() else -b if a.is_zero() else a - b
+                     for a, b in zip(r1, r2)]
                     for r1, r2 in zip(self.data, other.data)])
 
     def __neg__(self) -> "Mat":
@@ -132,7 +135,8 @@ class Mat:
         c = c if isinstance(c, Rat) else Rat(c)
         if c.is_zero():
             return Mat.zeros(self.nrows, self.ncols)
-        return Mat([[c * a for a in row] for row in self.data])
+        return Mat([[a if a.is_zero() else c * a for a in row]
+                    for row in self.data])
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.ncols != other.nrows:
@@ -165,7 +169,10 @@ class Mat:
         return Mat([[f(a) for a in row] for row in self.data])
 
     def substitute(self, assignments: dict) -> "Mat":
-        return self.apply(lambda a: a.substitute(assignments))
+        """Entrywise :meth:`Rat.substitute`; zeros are kept as they are, once
+        the keys are checked."""
+        check_targets(assignments)
+        return self.apply(lambda a: a if a.is_zero() else a.substitute(assignments))
 
     def mul_vec(self, v):
         if len(v) != self.ncols:

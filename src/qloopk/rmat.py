@@ -21,6 +21,9 @@ which have the point a⁻¹ and a unit-point module of their own, or V_1
 itself when the twist fixes V_1 (:mod:`braid`). Other
 modules have point 1 and are solved as they are; their action must not
 involve z or w either.
+A check that needs R at another spectral value z′ (w/z, z·w, 1/z) maps the
+same solution straight there by z ↦ z′·b/a (:func:`_R_at`): one
+substitution per entry.
 
 One more pair needs no elimination. The Chevalley involution ω (E_i ↦ -F_i,
 F_i ↦ -E_i, K_i ↦ K_i⁻¹) is an algebra automorphism and a coalgebra
@@ -84,9 +87,15 @@ def solve_R(v: Rep, w: Rep) -> RMatrixResult:
     Raises KernelDimension if the solution space is not a line,
     NoHighestWeightVector if the weight-maximal block is not 1-dim."""
     res = _solve_unit(v.unit, w.unit)
-    at = {"z": z_var * w.point / v.point}
-    return RMatrixResult(res.matrix.substitute(at), res.kernel_dim,
-                         res.hw_index, res.scalar.substitute(at))
+    return RMatrixResult(_R_at(v, w, z_var), res.kernel_dim, res.hw_index,
+                         res.scalar.substitute({"z": z_var * w.point / v.point}))
+
+
+def _R_at(v: Rep, w: Rep, z) -> Mat:
+    """The matrix of R(V, W) at the spectral value ``z``: the unit-point
+    solution at z·b/a, substituted once."""
+    return _solve_unit(v.unit, w.unit).matrix.substitute(
+        {"z": z * w.point / v.point})
 
 
 def _flipped(v: Rep, w: Rep) -> Mat | None:
@@ -189,8 +198,7 @@ def verify_YBE(u: Rep, v: Rep, w: Rep,
 def verify_R_unitarity(v: Rep, w: Rep, Rvw: Mat | None = None) -> CheckReport:
     """R_VW(z)^{-1} = (1 2) ∘ R_WV(1/z) ∘ (1 2), checked without inversion."""
     Rvw = Rvw if Rvw is not None else solve_R(v, w).matrix
-    Rwv = solve_R(w, v).matrix
-    R21 = permute(Rwv.substitute({"z": z_var.inv()}), swap(w.dim, v.dim))
+    R21 = permute(_R_at(w, v, z_var.inv()), swap(w.dim, v.dim))
     return check_product([R21, Rvw], [])
 
 

@@ -11,9 +11,12 @@ multivariate polynomials with integer coefficients in
 
 A value is an element of one sparse fraction field over ZZ (sympy's
 ``FracField``, graded-lex order) on ``p, z, w`` and then the registered
-constants in sorted order. Registering a constant rebuilds the field; older
-values move to it when next used. Printing, hashing and equality do not
-depend on which other constants are registered.
+constants in sorted order. The field is built once per tuple of names and
+kept: registering switches to the field of the new names, and
+:func:`parse_all` registers all names of a batch of texts in one switch.
+An older value moves to the current field when next used, by remapping its
+exponent tuples (:func:`_moved`). Printing, hashing and equality do not
+depend on which other constants are registered, or in which order.
 
 Arithmetic is Henrici's on reduced fractions (Knuth, TAOCP vol. 2, 4.5.1):
 a product cancels only crosswise, numerator against the other factor's
@@ -99,7 +102,13 @@ _consts: set[str] = set()
 
 
 def _field_on(consts) -> tuple[FracField, dict[str, int]]:
-    names = _CORE + tuple(sorted(consts))
+    """The field on the core generators and ``consts``, with each name's
+    generator index; one build per set of names."""
+    return _field_named(_CORE + tuple(sorted(consts)))
+
+
+@lru_cache(maxsize=32)
+def _field_named(names: tuple) -> tuple[FracField, dict[str, int]]:
     return (FracField([sp.Symbol(n) for n in names], ZZ, grlex),
             {n: i for i, n in enumerate(names)})
 
@@ -126,14 +135,23 @@ def _gen(name: str) -> "Rat":
     return Rat(_field.gens[_index[name]])
 
 
-def _rebase(f: FracElement) -> FracElement:
-    """Move a value into the current field. New generators change neither the
-    gcd of numerator and denominator nor which denominator term leads in
-    graded-lex order, so the reduced form carries over without a gcd."""
-    if f.field is _field:
-        return f
-    ring = _field.ring
-    return _field.raw_new(f.numer.set_ring(ring), f.denom.set_ring(ring))
+def _moved(f: FracElement, field: FracField) -> FracElement:
+    """``f`` in ``field``, whose generators include those of ``f``'s field.
+    New generators change neither the gcd of numerator and denominator nor
+    which denominator term leads in graded-lex order, so the reduced form
+    carries over without a gcd, its exponent tuples remapped."""
+    back = _exponent_map(f.field.symbols, field.symbols)
+    new = field.ring.dtype
+    return field.raw_new(*(new({back(m + (0,)): c for m, c in poly.items()})
+                           for poly in (f.numer, f.denom)))
+
+
+@lru_cache(maxsize=64)
+def _exponent_map(old: tuple, new: tuple):
+    """Reads an exponent tuple over the generators ``old``, with a 0
+    appended, as one over ``new``: the 0 fills the generators ``old`` lacks."""
+    return operator.itemgetter(*(old.index(s) if s in old else len(old)
+                                 for s in new))
 
 
 def _frac(x) -> FracElement:
@@ -141,7 +159,7 @@ def _frac(x) -> FracElement:
     if isinstance(x, Rat):
         f = x.f
         if f.field is not _field:
-            f = _rebase(f)
+            f = _moved(f, _field)
             object.__setattr__(x, "f", f)
         return f
     if isinstance(x, FracElement):  # made in the current field
@@ -201,7 +219,7 @@ def _cofactors(f, g):
 
     * a monomial operand: the integer gcd of all coefficients times the
       smallest exponents, as sympy's ``_gcd_monom`` gives it, with no call
-      into sympy;
+      into sympy, and ``(1, f, g)`` as soon as both gcds reach 1;
     * f = ±g: h is f with the sign below;
     * the generators of one operand a strict subset of the other's: h is
       the gcd of the smaller operand and each coefficient of the larger one
@@ -235,6 +253,8 @@ def _cofactors(f, g):
         (m, c), = (f if len(f) == 1 else g).items()
         for mx, cx in (g if len(f) == 1 else f).items():
             m, c = ring.monomial_gcd(m, mx), ZZ.gcd(c, cx)
+            if c == 1 and m == ring.zero_monom:
+                return ring.one, f, g
         return (ring.dtype({m: c}),) + tuple(
             ring.dtype({ring.monomial_ldiv(mx, m): cx // c for mx, cx in x.items()})
             for x in (f, g))
@@ -342,18 +362,18 @@ class Rat:
 
     # -- arithmetic -------------------------------------------------------
     def __add__(self, other):
-        return Rat(_add(_frac(self), _frac(other)))
+        return _rat(_add(_frac(self), _frac(other)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return Rat(_add(_frac(self), -_frac(other)))
+        return _rat(_add(_frac(self), -_frac(other)))
 
     def __rsub__(self, other):
-        return Rat(_add(_frac(other), -_frac(self)))
+        return _rat(_add(_frac(other), -_frac(self)))
 
     def __mul__(self, other):
-        return Rat(_mul(_frac(self), _frac(other)))
+        return _rat(_mul(_frac(self), _frac(other)))
 
     __rmul__ = __mul__
 
@@ -361,7 +381,7 @@ class Rat:
         g = _frac(other)
         if not g:
             raise DivisionByZero("division by zero")
-        return Rat(_mul(_frac(self), _inverse(g)))
+        return _rat(_mul(_frac(self), _inverse(g)))
 
     def __rtruediv__(self, other):
         return Rat(other) / self
@@ -371,13 +391,13 @@ class Rat:
         f = _frac(self)
         if n < 0:
             f, n = _inverse(f), -n
-        return Rat(f ** n if n else 1)  # PolyElement refuses 0**0
+        return _rat(f ** n if n else f.field.one)  # PolyElement refuses 0**0
 
     def __neg__(self):
-        return Rat(-_frac(self))
+        return _rat(-_frac(self))
 
     def inv(self) -> "Rat":
-        return Rat(_inverse(_frac(self)))
+        return _rat(_inverse(_frac(self)))
 
     # -- predicates -------------------------------------------------------
     def is_zero(self) -> bool:
@@ -435,14 +455,8 @@ class Rat:
         Zero comes back as is, once the keys are checked, and so does every
         value when the one assignment sends a generator to itself (z ↦ z).
         """
-        vals = {}
-        for k, v in assignments.items():
-            if not isinstance(k, str):
-                raise TypeError(f"bad substitution target {k!r}")
-            if k == "q":
-                raise ValueError("substitute p, not q")
-            if k in _index:
-                vals[_index[k]] = _frac(v)
+        check_targets(assignments)
+        vals = {_index[k]: _frac(v) for k, v in assignments.items() if k in _index}
         if not vals or self.is_zero():
             return self
         f = _frac(self)
@@ -452,14 +466,14 @@ class Rat:
                 return self
             mapped = _monomial_map(f, i, v)
             if mapped is not None:
-                return Rat(mapped)
+                return _rat(mapped)
         # clear the values' denominators to a common power in both parts
         d = {i: max(e[i] for poly in (f.numer, f.denom) for e in poly.itermonoms())
              for i in vals}
         numer, denom = (_cleared(poly, vals, d) for poly in (f.numer, f.denom))
         if not denom:
             raise PoleAtPoint({k: str(Rat(v)) for k, v in assignments.items()})
-        return Rat(_field.new(numer, denom))
+        return _rat(_field.new(numer, denom))
 
     def residue(self, point: dict[str, int], prime: int) -> int:
         """The value modulo ``prime`` at ``point`` (name -> integer), read from
@@ -496,6 +510,26 @@ class Rat:
 
     def __repr__(self) -> str:
         return f"Rat({str(self)!r})"
+
+
+_set_f = Rat.f.__set__
+
+
+def _rat(f: FracElement) -> Rat:
+    """``f`` wrapped as a Rat, without :class:`Rat`'s coercion."""
+    x = object.__new__(Rat)
+    _set_f(x, f)
+    return x
+
+
+def check_targets(assignments: dict) -> None:
+    """Reject substitution keys that are not names (TypeError) and ``q``,
+    which is p² and not a generator (ValueError)."""
+    for k in assignments:
+        if not isinstance(k, str):
+            raise TypeError(f"bad substitution target {k!r}")
+        if k == "q":
+            raise ValueError("substitute p, not q")
 
 
 def clear_denominators(values) -> tuple[list, object]:
@@ -636,10 +670,26 @@ def parse(s: str, register: bool = False) -> Rat:
     only once all of ``s`` has parsed: the value is built in the field that
     the registrations will make, and a failed parse registers nothing.
     """
-    toks = _TOKEN.findall(s) + [""]
-    new = {t for t in toks if _NAME.fullmatch(t) and t != "q"
+    return parse_all([s], register)[0]
+
+
+def parse_all(texts, register: bool = False) -> list[Rat]:
+    """:func:`parse` of each of ``texts``. With ``register``, the names
+    they introduce are registered together, once every text has parsed:
+    one field for all of them, and nothing registered if one text fails."""
+    toks = [_TOKEN.findall(s) + [""] for s in texts]
+    new = {t for ts in toks for t in ts if _NAME.fullmatch(t) and t != "q"
            and t not in _index} if register else set()
     field, index = _field_on(_consts | new) if new else (_field, _index)
+    values = [_read(s, ts, field, index) for s, ts in zip(texts, toks)]
+    if new:
+        _consts.update(new)
+        _rebuild_field()
+    return [_rat(x) for x in values]
+
+
+def _read(s: str, toks: list, field: FracField, index: dict) -> FracElement:
+    """The value of ``s``, given as its tokens, in ``field``."""
     pos = 0
 
     def fail(why):
@@ -706,10 +756,7 @@ def parse(s: str, register: bool = False) -> Rat:
         fail("division by zero")
     except RecursionError:
         fail("nested too deeply")
-    if new:
-        _consts.update(new)
-        _rebuild_field()
-    return Rat(_rebase(x))
+    return x
 
 
 zero = Rat(0)

@@ -155,6 +155,18 @@ class TestTwists:
             M = t_theta_matrix(rep, d1)
             assert invert(M) @ M == Mat.identity(rep.dim)
 
+    @pytest.mark.parametrize("X", [(), (1,), (0,)])
+    def test_t_theta_shared_on_the_orbit(self, fund, fund_b, X):
+        # t_theta reads the weights and the nodes of X only: with node 0
+        # outside X, V_a and V_b share the matrix of their unit-point module,
+        # which equals the product built directly on each
+        d = SatakeDiagram(affine_A(1), X, (0, 1))
+        for rep in (fund, fund_b):
+            assert t_theta_matrix(rep, d) == (cartan_correction(rep, d)
+                                              @ braid_SX(rep, d))
+        shared = t_theta_matrix(fund, d) is t_theta_matrix(fund_b, d)
+        assert shared == (0 not in X)
+
 
 def _realize_twist_reference(rep, spec):
     """The twist realized at the module's own point, with the pullback along

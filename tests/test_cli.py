@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,10 @@ from qloopk.cli import Scenario, _load_scenario, main
 from qloopk.linalg import intertwiner_kernel
 from qloopk.repcore import build_eval_rep_sl2
 from qloopk.scalars import Rat, one
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -291,6 +299,55 @@ class TestScenario:
                     twist={"diagonal": {"0": "1/beta_probe", "1": "beta_probe"}})
         beta = Scenario(data, {}).twist.beta
         assert str(beta[1]) == "beta_probe" and (beta[0] * beta[1]).is_one()
+
+    def test_failed_value_registers_no_name(self):
+        # the scenario's values are registered together, so a copy whose
+        # last value fails to parse registers none of its names
+        data = dict(_load_scenario("qonsager-sl2-fundamental"),
+                    gamma={"0": "1/fail_g0", "1": "fail_g0"},
+                    sigma={"0": "fail_s0", "1": "fail_s1"},
+                    reps={"V": "eval-sl2:1:fail_a", "W": "eval-sl2:1:fail_b +"})
+        before = set(scalars._consts)
+        with pytest.raises(cli.UsageError, match="fail_b"):
+            Scenario(data, {})
+        assert scalars._consts == before
+
+    def test_loading_builds_one_field(self):
+        # a fresh process, which lacks the scenario's names: loading the
+        # scenario registers its five names in one field build, and that is
+        # the only build of the whole pipeline run
+        script = """
+import contextlib, io, json
+from qloopk import cli, scalars
+builds = []
+real = scalars.FracField
+scalars.FracField = lambda *args: builds.append(args) or real(*args)
+data = cli._load_scenario("qonsager-sl2-fundamental")
+cli.Scenario(data, {})
+loaded = len(builds)
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(["pipeline", "run", "qonsager-sl2-fundamental"])
+print(json.dumps([loaded, len(builds), code, out.getvalue()]))
+"""
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        res = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        loaded, total, code, out = json.loads(res.stdout)
+        assert (loaded, total, code) == (1, 1, 0)
+        assert out == (GOLDEN / "pipeline-run-qonsager-sl2-fundamental.stdout").read_text()
+
+    @pytest.mark.parametrize("names", [("zz", "AA", "m1"), ("m2", "AB", "zy")])
+    def test_registration_order_keeps_golden_bytes(self, capsys, names):
+        # unrelated names sorting after, before and between the scenario's
+        # (a, b, g0, s0, s1), registered in two orders before the run; the
+        # second run also moves values memoized in the first into a field
+        # with more generators
+        for name in names:
+            scalars.const(name)
+        code, out = run(capsys, "pipeline", "run", "qonsager-sl2-fundamental")
+        assert code == 0
+        assert out == (GOLDEN / "pipeline-run-qonsager-sl2-fundamental.stdout").read_text()
 
     def test_diagonal_beta_takes_vars(self):
         data = dict(_load_scenario("qonsager-sl2-fundamental"),

@@ -128,11 +128,10 @@ class TestGRE:
                                           monkeypatch):
         # the semi-standard twist moves both evaluation points, so V, W and
         # their twisted modules are four distinct modules and need four R
-        from qloopk import kmat
         o = onsager
         pairs = []
-        monkeypatch.setattr(kmat, "solve_R",
-                            lambda X, Y: pairs.append((X, Y)) or solve_R(X, Y))
+        monkeypatch.setattr(kmat, "_R_at", lambda X, Y, z: pairs.append((X, Y))
+                            or rmat._R_at(X, Y, z))
         rep = verify_gre(fund, fund_b, o["twist"], o["shift"], o["params"],
                          KV=K_fund)
         assert rep.ok, rep.detail
@@ -140,6 +139,33 @@ class TestGRE:
         assert not any(X.same_module(X0) and Y.same_module(Y0)
                        for i, (X, Y) in enumerate(pairs)
                        for X0, Y0 in pairs[:i])
+
+    def test_each_R_substituted_once(self, fund, fund_b, onsager, K_fund,
+                                     monkeypatch):
+        # each nonzero entry of the four unit-point R-matrices goes through
+        # Rat.substitute once, straight to its spectral value; the only other
+        # substitution is K_W at w
+        o = onsager
+        KW = solve_K(fund_b, o["twist"], o["shift"], o["params"])
+        units = [rmat._solve_unit(X.unit, Y.unit).matrix for X, Y in
+                 ((fund, fund_b), (KW.target, K_fund.target),
+                  (K_fund.target, fund_b), (KW.target, fund))]
+        calls = []
+        original = Rat.substitute
+        monkeypatch.setattr(Rat, "substitute", lambda x, at: calls.append(x)
+                            or original(x, at))
+        rep = verify_gre(fund, fund_b, o["twist"], o["shift"], o["params"],
+                         KV=K_fund, KW=KW)
+        assert rep.ok, rep.detail
+
+        def nonzeros(m):
+            return [x for row in m.data for x in row if not x.is_zero()]
+
+        assert not any(x.is_zero() for x in calls)
+        assert len(calls) == sum(map(len, map(nonzeros, units + [KW.matrix])))
+        ids = {id(x) for x in calls}
+        for m in units:
+            assert {id(x) for x in nonzeros(m)} <= ids
 
 
 class TestStandardRE:

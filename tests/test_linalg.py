@@ -42,6 +42,25 @@ class TestMat:
         at2 = m.substitute({"z": Rat(2)})
         assert at2[0, 0] == Rat(2) and at2[1, 1] == Rat(Fraction(1, 2))
 
+    def test_substitute_checks_keys_of_zero_matrix(self):
+        # zeros are not substituted, but the keys are still checked
+        m = Mat.zeros(2)
+        assert m.substitute({"z": Rat(2)}) == m
+        with pytest.raises(ValueError, match="substitute p"):
+            m.substitute({"q": Rat(2)})
+        with pytest.raises(TypeError, match="bad substitution target"):
+            m.substitute({1: Rat(2)})
+
+    @given(a=small_mat(2), b=small_mat(2), c=st.integers(-2, 2))
+    @settings(max_examples=30, deadline=None)
+    def test_sums_and_scaling_skip_zeros(self, a, b, c):
+        # entrywise, the cheap paths for zero entries give the same values
+        c = Rat(c) * q
+        n = range(2)
+        assert all((a + b)[i, j] == a[i, j] + b[i, j] for i in n for j in n)
+        assert all((a - b)[i, j] == a[i, j] - b[i, j] for i in n for j in n)
+        assert all(a.scale(c)[i, j] == c * a[i, j] for i in n for j in n)
+
 
 class TestKronFlip:
     def test_kron_dims(self):

@@ -216,6 +216,61 @@ def test_registration_does_not_change_hash_str_or_eq():
     assert table[x] == table[x2] == "x" and table[y] == table[y2] == "y"
 
 
+# names of the old field, and new ones sorting before, between and after them
+_OLD_NAMES = ("rb_f", "rb_m", "rb_t")
+_NEW_NAMES = ("RB", "rb_a", "rb_h", "rb_p", "rb_z")
+
+
+@st.composite
+def _rebase_cases(draw):
+    """A fraction over the core generators and some of ``_OLD_NAMES``, with
+    numerator and denominator drawn independently, and a larger set of
+    names to move it to."""
+    old = draw(st.sets(st.sampled_from(_OLD_NAMES)))
+    new = old | draw(st.sets(st.sampled_from(_NEW_NAMES), min_size=1))
+    field = scalars._field_on(old)[0]
+    ring = field.ring
+    terms = st.lists(st.tuples(st.tuples(*[st.integers(0, 3)] * ring.ngens),
+                               st.integers(-9, 9)), max_size=5)
+    numer, denom = (ring.from_dict(dict(draw(terms))) for _ in range(2))
+    return field.raw_new(numer, denom or ring.one), scalars._field_on(new)[0]
+
+
+@given(case=_rebase_cases())
+@settings(max_examples=150, deadline=None)
+def test_rebase_by_exponent_map_equals_set_ring(case):
+    """Moving a value into a field with more names by remapping exponent
+    tuples gives exactly the terms sympy's ``set_ring`` gives."""
+    f, field = case
+    moved = scalars._moved(f, field)
+    assert moved.field is field
+    for mine, poly in ((moved.numer, f.numer), (moved.denom, f.denom)):
+        ref = poly.set_ring(field.ring)
+        assert mine.ring == field.ring and dict(mine) == dict(ref)
+
+
+def test_fields_are_built_once_per_name_tuple():
+    assert scalars._field_on({"rb_f", "rb_m"}) is scalars._field_on(["rb_m", "rb_f"])
+
+
+def test_parse_all_registers_together(monkeypatch):
+    """A batch registers its new names in one field build, and only once
+    every text has parsed."""
+    builds = []
+    real = scalars.FracField
+    monkeypatch.setattr(scalars, "FracField",
+                        lambda *args: builds.append(args) or real(*args))
+    before = set(scalars._consts)
+    with pytest.raises(ParseError):
+        scalars.parse_all(["batch_x + 1", "batch_y", "batch_z +"], register=True)
+    assert scalars._consts == before
+    builds.clear()
+    x, y = scalars.parse_all(["batch_x + 1", "batch_y/batch_x"], register=True)
+    assert scalars._consts == before | {"batch_x", "batch_y"}
+    assert len(builds) == 1
+    assert (x, y) == (const("batch_x") + 1, const("batch_y") / const("batch_x"))
+
+
 # -- differential oracle: the fraction field against sympy's cancel ----------
 
 _ORACLE_CONST = "oracle_c"
