@@ -26,7 +26,7 @@ from .linalg import Mat, invert
 from .repcore import Rep, _at_point, pullback_chevalley_tau
 from .rootdata import (GradingShift, QSPParams, SatakeDiagram, bilinear,
                        build_Y0, classical_in_root_basis, rho, theta_on_roots)
-from .scalars import Rat, one, p, q_factorial, zero
+from .scalars import Rat, one, p, q_factorial
 
 
 class BraidError(Exception):
@@ -60,8 +60,7 @@ def lusztig_T(rep: Rep, i: int) -> Mat:
     qi = p ** (2 * d)
     n = rep.dim
     Ed, Fd = _divided_powers(rep.E[i], d), _divided_powers(rep.F[i], d)
-    amax, cmax = len(Ed) - 1, len(Ed) - 1
-    bmax = len(Fd) - 1
+    emax, bmax = len(Ed) - 1, len(Fd) - 1
     EF: dict[tuple[int, int], Mat] = {}  # E^(a) F^(b), shared by all columns
     out = Mat.zeros(n)
     for col in range(n):
@@ -69,27 +68,20 @@ def lusztig_T(rep: Rep, i: int) -> Mat:
         if m.denominator != 1:
             raise BraidError("non-integral weight pairing")
         m = int(m)
-        for c in range(cmax + 1):
+        for c in range(emax + 1):
             vc = [Ed[c][r, col] for r in range(n)]
             if all(x.is_zero() for x in vc):
                 continue
-            for a in range(amax + 1):
+            for a in range(emax + 1):
                 b = m + a + c
                 if b < 0 or b > bmax:
                     continue
                 coeff = (qi ** (b - a * c))
                 if b % 2 == 1:
                     coeff = -coeff
-                # E^(a) F^(b) applied to vc
                 if (a, b) not in EF:
                     EF[a, b] = Ed[a] @ Fd[b]
-                mat = EF[a, b]
-                for r in range(n):
-                    acc = zero
-                    for s in range(n):
-                        e = mat[r, s]
-                        if not e.is_zero() and not vc[s].is_zero():
-                            acc = acc + e * vc[s]
+                for r, acc in enumerate(EF[a, b].mul_vec(vc)):
                     if not acc.is_zero():
                         out.data[r][col] = out.data[r][col] + coeff * acc
     return out

@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import sys
+from itertools import chain
 from importlib import resources
 
 from .braid import TwistSpec
@@ -18,7 +19,7 @@ from .irred import (check_generic_tensor_irreducible, check_irreducible,
                     check_modified_nilpotent_irreducible, qsp_deformations)
 from .kmat import (convert_grading, solve_K, verify_K_unitarity, verify_gre,
                    verify_standard_re)
-from .linalg import Mat
+from .linalg import proportionality
 from .repcore import RepError, build_rep, tensor, verify_relations
 from .rmat import detect_degeneration, solve_R, verify_R_unitarity, verify_YBE
 from .rootdata import (GradingShift, QSPParams, SatakeDiagram, affine_A,
@@ -128,13 +129,14 @@ def _parse_nodes(s: str | None, n1: int):
 
 
 def _load_scenario(name: str) -> dict:
+    """The shipped scenario ``name``; a name is a file stem under
+    ``scenarios/``, never a path."""
     base = resources.files("qloopk").joinpath("scenarios")
-    path = base.joinpath(f"{name}.json")
-    if not path.is_file():
-        avail = sorted(p.name[:-5] for p in base.iterdir()
-                       if p.name.endswith(".json"))
+    avail = sorted(p.name[:-5] for p in base.iterdir()
+                   if p.name.endswith(".json"))
+    if name not in avail:
         raise UsageError(f"unknown scenario {name!r}; available: {avail}")
-    return json.loads(path.read_text())
+    return json.loads(base.joinpath(f"{name}.json").read_text())
 
 
 class Scenario:
@@ -240,13 +242,10 @@ def _emit(payload: dict, fmt: str):
     print("\n".join(out))
 
 
-def _report_exit(ok: bool) -> int:
-    return 0 if ok else 1
-
-
 # -- handlers -------------------------------------------------------------
 
-def _cmd_gsat_validate(args) -> tuple[int, dict]:
+def _cmd_gsat(args) -> tuple[bool, dict]:
+    # validate, the one action argparse allows
     if args.type != "A":
         raise UsageError("only untwisted type A is built in")
     if args.n < 1:
@@ -255,7 +254,7 @@ def _cmd_gsat_validate(args) -> tuple[int, dict]:
     X = _parse_nodes(args.X, args.n + 1)
     tau = _parse_tau(args.tau, args.n + 1)
     report = validate_gsat(cartan, X, tau)
-    return _report_exit(report.valid), {"validate": report.to_json()}
+    return report.valid, {"validate": report.to_json()}
 
 
 def _reps_from_args(args, vars, need: int):
@@ -269,17 +268,15 @@ def _reps_from_args(args, vars, need: int):
     return reps
 
 
-def _cmd_rep_build(args) -> tuple[int, dict]:
+def _cmd_rep(args) -> tuple[bool, dict]:
     vars = _parse_vars(args.vars)
-    (V,) = _reps_from_args(args, vars, 1)
-    return 0, {"label": V.label, "dim": V.dim,
-               "weights": [[str(x) for x in wt] for wt in V.weights],
-               "E1": V.E[1].to_json(), "F1": V.F[1].to_json(),
-               "K1": V.K[1].to_json()}
-
-
-def _cmd_rep_check(args) -> tuple[int, dict]:
-    vars = _parse_vars(args.vars)
+    if args.action == "build":
+        (V,) = _reps_from_args(args, vars, 1)
+        return True, {"label": V.label, "dim": V.dim,
+                      "weights": [[str(x) for x in wt] for wt in V.weights],
+                      "E1": V.E[1].to_json(), "F1": V.F[1].to_json(),
+                      "K1": V.K[1].to_json()}
+    # check, the last action argparse allows
     if not args.rep:
         raise UsageError("rep check needs at least one --rep")
     reps = _reps_from_args(args, vars, len(args.rep))
@@ -287,23 +284,22 @@ def _cmd_rep_check(args) -> tuple[int, dict]:
     for W in reps[1:]:
         V = tensor(V, W)
     report = verify_relations(V)
-    return _report_exit(report.ok), {"relations": report.to_json()}
+    return report.ok, {"relations": report.to_json()}
 
 
-def _cmd_rmatrix(args) -> tuple[int, dict]:
+def _cmd_rmatrix(args) -> tuple[bool, dict]:
+    if args.at is not None and args.action != "degeneration":
+        raise UsageError(f"--at belongs to degeneration, not {args.action}")
     vars = _parse_vars(args.vars)
     if args.action == "compute":
         V, W = _reps_from_args(args, vars, 2)
-        res = solve_R(V, W)
-        return 0, {"rmatrix": res.to_json()}
+        return True, {"rmatrix": solve_R(V, W).to_json()}
     if args.action == "verify-ybe":
-        U, V, W = _reps_from_args(args, vars, 3)
-        report = verify_YBE(U, V, W)
-        return _report_exit(report.ok), {"ybe": report.to_json()}
+        report = verify_YBE(*_reps_from_args(args, vars, 3))
+        return report.ok, {"ybe": report.to_json()}
     if args.action == "verify-unitarity":
-        V, W = _reps_from_args(args, vars, 2)
-        report = verify_R_unitarity(V, W)
-        return _report_exit(report.ok), {"unitarity": report.to_json()}
+        report = verify_R_unitarity(*_reps_from_args(args, vars, 2))
+        return report.ok, {"unitarity": report.to_json()}
     # degeneration, the last action argparse allows
     V, W = _reps_from_args(args, vars, 2)
     point = _parse_point(args.at, "--at")
@@ -315,54 +311,36 @@ def _cmd_rmatrix(args) -> tuple[int, dict]:
         raise UsageError(f"--at names {', '.join(unused)}, "
                          "on which R does not depend")
     kind = detect_degeneration(V, W, point, R)
-    return 0, {"degeneration": {"at": {k: str(v) for k, v in point.items()},
-                                "kind": kind}}
+    return True, {"degeneration": {"at": {k: str(v) for k, v in point.items()},
+                                   "kind": kind}}
 
 
-def _cmd_kmatrix(args) -> tuple[int, dict]:
+def _cmd_kmatrix(args) -> tuple[bool, dict]:
     vars = _parse_vars(args.vars)
     sc = Scenario(_load_scenario(args.scenario), vars)
     if args.action in _CHECKS:
         key, check = _CHECKS[args.action]
         report = check(sc.stage(args.action))
-        return _report_exit(report.ok), {key: report.to_json()}
+        return report.ok, {key: report.to_json()}
     if args.action == "compute":
-        return 0, {"kmatrix": sc.K.to_json()}
+        return True, {"kmatrix": sc.K.to_json()}
     # convert-grading, the last action argparse allows
     V = sc.reps["V"]
     Kpr = solve_K(V, sc.twist, GradingShift.principal(sc.cartan),
                   sc.params)
     converted = convert_grading(Kpr, V)
     direct = solve_K(V, sc.twist, GradingShift.tau_minimal(sc.diagram),
-                     sc.params)
-    ratio = _proportionality(converted, direct.matrix)
+                     sc.params).matrix
+    ratio = proportionality(chain.from_iterable(converted.data),
+                            chain.from_iterable(direct.data))
     ok = ratio is not None
-    return _report_exit(ok), {
-        "convert-grading": {"converted": converted.to_json(),
-                            "direct": direct.matrix.to_json(),
-                            "scalar": None if ratio is None else str(ratio),
-                            "ok": ok}}
+    return ok, {"convert-grading": {"converted": converted.to_json(),
+                                    "direct": direct.to_json(),
+                                    "scalar": None if ratio is None else str(ratio),
+                                    "ok": ok}}
 
 
-def _proportionality(A: Mat, B: Mat):
-    """The scalar A/B if A = c B entrywise, else None."""
-    ratio = None
-    for i in range(A.nrows):
-        for j in range(A.ncols):
-            x, y = A[i, j], B[i, j]
-            if x.is_zero() != y.is_zero():
-                return None
-            if x.is_zero():
-                continue
-            r = x / y
-            if ratio is None:
-                ratio = r
-            elif r != ratio:
-                return None
-    return ratio
-
-
-def _cmd_irred(args) -> tuple[int, dict]:
+def _cmd_irred(args) -> tuple[bool, dict]:
     """``qsp`` reads its module from ``--scenario``; ``lowering`` and
     ``tensor`` read theirs from ``--rep``. Giving a mode the other option is
     a usage error, so that no option is silently ignored."""
@@ -383,10 +361,10 @@ def _cmd_irred(args) -> tuple[int, dict]:
     else:
         (V,) = _reps_from_args(args, vars, 1)
         verdict = check_irreducible([V.F[i] for i in V.cartan.nodes])
-    return _report_exit(verdict.irreducible is True), {"irred": verdict.to_json()}
+    return verdict.irreducible is True, {"irred": verdict.to_json()}
 
 
-def _cmd_pipeline(args) -> tuple[int, dict]:
+def _cmd_pipeline(args) -> tuple[bool, dict]:
     vars = _parse_vars(args.vars)
     sc = Scenario(_load_scenario(args.scenario), vars)
     stages = {"solve-K": {"kernel_dim": sc.K.kernel_dim,
@@ -396,102 +374,77 @@ def _cmd_pipeline(args) -> tuple[int, dict]:
         report = check(sc.stage(name))
         stages[name] = report.to_json()
         ok = ok and report.ok
-    return _report_exit(ok), {"pipeline": {"scenario": sc.data["name"],
-                                           "stages": stages, "ok": ok}}
+    return ok, {"pipeline": {"scenario": sc.data["name"],
+                             "stages": stages, "ok": ok}}
 
 
 # -- argument tree --------------------------------------------------------
+
+_VARS = ("--vars", {"help": "substitutions, e.g. a=2,s0=0"})
+_REP = ("--rep", {"action": "append",
+                  "help": "eval-sl2:<spin2>:<a> or eval-vector:<N>:<a>"})
+
+# command -> (help, actions, handler, options). The action is the command's
+# first positional argument; the handler dispatches on it, and rejects an
+# option its action does not read.
+_COMMANDS = {
+    "gsat": ("generalized Satake diagram checks", ("validate",), _cmd_gsat,
+             [("--type", {"default": "A"}),
+              ("--n", {"type": int, "required": True}),
+              ("--X", {"default": ""}), ("--tau", {"default": "id"})]),
+    "rep": ("build and check modules", ("build", "check"), _cmd_rep,
+            [_VARS, _REP]),
+    "rmatrix": ("rational R-matrices",
+                ("compute", "verify-ybe", "verify-unitarity", "degeneration"),
+                _cmd_rmatrix,
+                [_VARS, _REP, ("--at", {"help": "for degeneration only: "
+                                                "point, e.g. b=q^2*a,z=1"})]),
+    "kmatrix": ("rational K-matrices",
+                ("compute", "verify-gre", "verify-re", "verify-unitarity",
+                 "convert-grading"), _cmd_kmatrix,
+                [_VARS, ("--scenario", {"default": "qonsager-sl2-fundamental"})]),
+    "irred": ("restricted irreducibility", ("check",), _cmd_irred,
+              [_VARS, _REP,
+               ("--scenario", {"help": "for --mode qsp only "
+                                       "(default qonsager-sl2-fundamental)"}),
+               ("--mode", {"choices": ("lowering", "qsp", "tensor"),
+                           "default": "lowering"})]),
+    "pipeline": ("end-to-end scenario runs", ("run",), _cmd_pipeline,
+                 [("scenario", {}), _VARS]),
+}
+
+_FORMATS = ("json", "latex", "text")
+
 
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="qloopk",
         description="Exact R- and K-matrices for quantum loop algebras")
-    top.add_argument("--output", choices=("json", "latex", "text"),
-                     default="json")
+    top.add_argument("--output", choices=_FORMATS, default="json")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p, reps=False, scenario=False):
-        p.add_argument("--output", choices=("json", "latex", "text"),
-                       default=argparse.SUPPRESS)
-        p.add_argument("--vars", help="substitutions, e.g. a=2,s0=0")
-        if reps:
-            p.add_argument("--rep", action="append",
-                           help="eval-sl2:<spin2>:<a> or eval-vector:<N>:<a>")
-        if scenario:
-            p.add_argument("--scenario", default="qonsager-sl2-fundamental")
-
-    g = sub.add_parser("gsat", help="generalized Satake diagram checks")
-    gs = g.add_subparsers(dest="action", required=True)
-    gv = gs.add_parser("validate")
-    gv.add_argument("--output", choices=("json", "latex", "text"),
-                    default=argparse.SUPPRESS)
-    gv.add_argument("--type", default="A")
-    gv.add_argument("--n", type=int, required=True)
-    gv.add_argument("--X", default="")
-    gv.add_argument("--tau", default="id")
-    gv.set_defaults(func=_cmd_gsat_validate)
-
-    r = sub.add_parser("rep", help="build and check modules")
-    rs = r.add_subparsers(dest="action", required=True)
-    rb = rs.add_parser("build")
-    common(rb, reps=True)
-    rb.set_defaults(func=_cmd_rep_build)
-    rc = rs.add_parser("check")
-    common(rc, reps=True)
-    rc.set_defaults(func=_cmd_rep_check)
-
-    rm = sub.add_parser("rmatrix", help="rational R-matrices")
-    rms = rm.add_subparsers(dest="action", required=True)
-    for name in ("compute", "verify-ybe", "verify-unitarity", "degeneration"):
-        p = rms.add_parser(name)
-        common(p, reps=True)
-        if name == "degeneration":
-            p.add_argument("--at", help="point, e.g. b=q^2*a,z=1")
-        p.set_defaults(func=_cmd_rmatrix)
-
-    km = sub.add_parser("kmatrix", help="rational K-matrices")
-    kms = km.add_subparsers(dest="action", required=True)
-    for name in ("compute", "verify-gre", "verify-re", "verify-unitarity",
-                 "convert-grading"):
-        p = kms.add_parser(name)
-        common(p, scenario=True)
-        p.set_defaults(func=_cmd_kmatrix)
-
-    ir = sub.add_parser("irred", help="restricted irreducibility")
-    irs = ir.add_subparsers(dest="action", required=True)
-    ic = irs.add_parser("check")
-    common(ic, reps=True)
-    ic.add_argument("--scenario", help="for --mode qsp only "
-                    "(default qonsager-sl2-fundamental)")
-    ic.add_argument("--mode", choices=("lowering", "qsp", "tensor"),
-                    default="lowering")
-    ic.set_defaults(func=_cmd_irred)
-
-    pl = sub.add_parser("pipeline", help="end-to-end scenario runs")
-    pls = pl.add_subparsers(dest="action", required=True)
-    pr = pls.add_parser("run")
-    pr.add_argument("scenario")
-    pr.add_argument("--output", choices=("json", "latex", "text"),
-                    default=argparse.SUPPRESS)
-    pr.add_argument("--vars")
-    pr.set_defaults(func=_cmd_pipeline)
-
+    for name, (summary, actions, handler, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("action", choices=actions)
+        # given after the command, --output overrides the top-level one
+        p.add_argument("--output", choices=_FORMATS, default=argparse.SUPPRESS)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=handler)
     return top
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        code, payload = args.func(args)
+        ok, payload = args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     _emit(payload, args.output)
-    return code
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

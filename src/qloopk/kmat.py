@@ -34,13 +34,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .braid import TwistSpec, gauge_matrix, realize_twist, theta_q_Fs
-from .linalg import Mat, intertwiner_kernel, kron, permute, swap
+from .linalg import (Mat, intertwiner_kernel, kron, permute, proportionality,
+                     swap)
 from .repcore import Rep, ell_highest_indices
 from .rmat import CheckReport, _first_nonzero, _R_at, check_product
 from .rootdata import (GradingShift, QSPParams, SatakeDiagram,
                        classical_in_root_basis, shift_exponent,
                        theta_on_coroots, theta_on_roots)
-from .scalars import Poly, Rat, z as z_var, w as w_var
+from .scalars import Rat, _reduced, z as z_var, w as w_var
 
 
 class KmatError(Exception):
@@ -212,8 +213,8 @@ def normalize_K(res: KMatrixResult, rep: Rep) -> KMatrixResult:
         ref = next((r for r in range(n) if not u[r].is_zero()), None)
         if ref is None or gv[ref].is_zero():
             raise AmbiguousNormalization("K kills the pseudo-highest-weight vector")
-        c = gv[ref] / u[ref]
-        if any(c * u[r] != gv[r] for r in range(n)):
+        c = proportionality(gv, u)
+        if c is None:
             raise AmbiguousNormalization(
                 "image of the pseudo-highest-weight vector is not gauge-aligned")
         res.matrix = K.scale(c)
@@ -305,21 +306,21 @@ def _pr_value(rep: Rep, k: int) -> Fraction:
 
 def _rewrite_power(x: Rat, H: int) -> Rat:
     """Rewrite a rational function of z that depends only on z^H as a
-    function of z (i.e. substitute z^H -> z)."""
+    function of z (i.e. substitute z^H -> z) by dividing its z-exponents.
 
-    def shrink(poly: Poly) -> tuple[Poly, int]:
-        # z is the second generator
-        r = poly.terms[0][0][1] % H if poly.terms else 0
-        if any(e[1] % H != r for e, _ in poly.terms):
-            raise KmatError("entry is not a function of z^H")
-        return Poly(tuple((e[:1] + ((e[1] - r) // H,) + e[2:], c)
-                          for e, c in poly.terms)), r
-
-    ne, rn = shrink(x.num())
-    de, rd = shrink(x.den())
-    if (rn - rd) % H != 0:
+    The reduced numerator and denominator are coprime, so one of them has a
+    term free of z, and x is a function of z^H exactly when every z-exponent
+    is a multiple of H. The images stay coprime (a common factor g(z) would
+    give the common factor g(z^H)) and keep their coefficients; only the
+    sign may need renormalizing, as the graded-lex leading term can move."""
+    f = x.f
+    if any(m[1] % H for poly in (f.numer, f.denom) for m in poly.itermonoms()):
         raise KmatError("entry is not a function of z^H")
-    return Rat(ne) * z_var ** ((rn - rd) // H) / Rat(de)
+    # z is the second generator
+    numer, denom = (poly.new({m[:1] + (m[1] // H,) + m[2:]: c
+                              for m, c in poly.iterterms()})
+                    for poly in (f.numer, f.denom))
+    return Rat(_reduced(f, numer, denom))
 
 
 def convert_grading(Kpr: KMatrixResult, V: Rep) -> Mat:

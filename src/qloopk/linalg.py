@@ -247,6 +247,24 @@ def permute(m: Mat, perm: list[int]) -> Mat:
     return out
 
 
+def proportionality(a, b):
+    """The scalar c with a = c·b entry by entry, for two sequences of
+    scalars of one length (a matrix read row by row, or a vector), or None
+    if there is none or both are zero."""
+    ratio = None
+    for x, y in zip(a, b, strict=True):
+        if x.is_zero() != y.is_zero():
+            return None
+        if x.is_zero():
+            continue
+        r = x / y
+        if ratio is None:
+            ratio = r
+        elif r != ratio:
+            return None
+    return ratio
+
+
 def product_residual(lhs: list[Mat], rhs: list[Mat]):
     """Decide ``prod(lhs) == prod(rhs)`` exactly; an empty side is the identity.
 

@@ -174,10 +174,6 @@ def _frac(x) -> FracElement:
                               ring.ground_new(x.denominator))
     if isinstance(x, str):
         return _frac(parse(x))
-    if isinstance(x, Poly):
-        den = math.lcm(*(c.denominator for _, c in x.terms))
-        numer = ring.from_dict({e: int(c * den) for e, c in x.terms})
-        return _field.new(numer, ring.ground_new(den))
     raise TypeError(f"cannot coerce {type(x).__name__} to Rat")
 
 

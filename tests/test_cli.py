@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -74,6 +75,12 @@ class TestUsageErrors:
         ("rmatrix", "compute", "--rep", "eval-sl2:2:z",
          "--rep", "eval-sl2:2:q^4"),
         ("rep", "build", "--rep", "eval-vector:3:w*a"),
+        # a scenario is a shipped name, never a path, even to a shipped file
+        ("kmatrix", "compute", "--scenario", "../scenarios/qonsager-sl2-spin1"),
+        ("pipeline", "run", "../scenarios/qonsager-sl2-fundamental"),
+        # --at is read by degeneration only
+        ("rmatrix", "compute", "--rep", "eval-sl2:1:a",
+         "--rep", "eval-sl2:1:b", "--at", "z=1"),
     ], ids=" ".join)
     def test_exits_two(self, capsys, argv):
         assert main(list(argv)) == 2
@@ -81,6 +88,19 @@ class TestUsageErrors:
         assert out.out == ""
         assert out.err.startswith("usage error: ")
 
+
+    @pytest.mark.parametrize("command", [("kmatrix", "compute", "--scenario"),
+                                         ("pipeline", "run")], ids=" ".join)
+    def test_scenario_path_is_not_read(self, capsys, tmp_path, command):
+        # a JSON file outside the package, named by a path relative to the
+        # scenarios, is not loaded (it used to end in a KeyError, exit 1)
+        (tmp_path / "bad.json").write_text("{}")
+        scenarios = Path(cli.__file__).parent / "scenarios"
+        name = os.path.relpath(tmp_path / "bad", scenarios)
+        assert main([*command, name]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("usage error: unknown scenario")
 
     @pytest.mark.parametrize("option", ["--vars", "--at"])
     def test_names_the_option(self, capsys, option):
@@ -96,6 +116,40 @@ class TestUsageErrors:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith(f"usage error: bad {option} name ''")
+
+
+COMMANDS = ("gsat", "rep", "rmatrix", "kmatrix", "irred", "pipeline")
+
+
+class TestParser:
+    def test_one_parser_per_command(self, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *a, **k: built.append(self) or init(self, *a, **k))
+        cli._build_parser()
+        assert len(built) == 1 + len(COMMANDS)
+
+    # rmatrix compute --at, the other rejected action, is a usage error above
+    @pytest.mark.parametrize("argv", [("kmatrix", "bogus"), ("kmatrix",)],
+                             ids=" ".join)
+    def test_bad_action_exits_two(self, capsys, argv):
+        assert main(list(argv)) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", [(), *((c,) for c in COMMANDS)],
+                             ids=" ".join)
+    def test_help(self, capsys, argv):
+        assert main([*argv, "--help"]) == 0
+        assert capsys.readouterr().out.startswith(
+            " ".join(("usage: qloopk", *argv)))
+
+    def test_output_after_command(self, capsys):
+        code, out = run(capsys, "rmatrix", "compute", "--rep", "eval-sl2:1:a",
+                        "--rep", "eval-sl2:1:b", "--output", "latex")
+        assert code == 0
+        golden = "output-latex-rmatrix-compute-rep-eval-sl2-1-a-rep-eval-sl2-1-b"
+        assert out == (GOLDEN / f"{golden}.stdout").read_text()
 
 
 class TestDiagramValidation:

@@ -403,6 +403,22 @@ class TestConversion:
                     ratio = ratio if ratio is not None else r
                     assert r == ratio
 
+    @pytest.mark.parametrize("H", [2, 3])
+    def test_rewrite_power_round_trip(self, H):
+        # 1/(z - a^2) leads with -a^2 in graded-lex order, but its image
+        # 1/(z^3 - a^2) leads with z^3, so the rewrite must renormalize signs
+        a, g0 = const("a"), const("g0")
+        for x in (zero, one, z, z.inv() * (z + 1) ** 2, (z + a) / (z - q),
+                  (z ** 2 - g0 * q) / (a * z ** 3 + 1), one / (z - a ** 2),
+                  -(z * w + 3) / (2 * z ** 2 - a)):
+            assert kmat._rewrite_power(x.substitute({"z": z ** H}), H) == x
+
+    @pytest.mark.parametrize("x", [z, z + 1, (z ** 2 + 1) / (z ** 3 - q),
+                                   (z ** 4 + z) / (z ** 2 - 1)])
+    def test_rewrite_power_rejects_other_powers(self, x):
+        with pytest.raises(KmatError, match="not a function of z\\^H"):
+            kmat._rewrite_power(x, 2)
+
     def test_converted_satisfies_tau_minimal_system(self, fund, onsager):
         o = onsager
         Kpr = solve_K(fund, o["twist"],

@@ -8,7 +8,7 @@ from qloopk import linalg
 from qloopk.linalg import (KernelDimension, LinalgError, Mat, ShapeMismatch,
                            SpanBasis, algebra_closure, intertwiner_kernel,
                            _residual, invert, kron, permute, product_residual,
-                           rank, rref, swap)
+                           proportionality, rank, rref, swap)
 from qloopk.scalars import Rat, kronecker, one, p, q, z, zero
 
 
@@ -60,6 +60,26 @@ class TestMat:
         assert all((a + b)[i, j] == a[i, j] + b[i, j] for i in n for j in n)
         assert all((a - b)[i, j] == a[i, j] - b[i, j] for i in n for j in n)
         assert all(a.scale(c)[i, j] == c * a[i, j] for i in n for j in n)
+
+
+class TestProportionality:
+    def test_scalar_multiple(self):
+        c = (z + 1) / q
+        b = [one, zero, z, q - 1]
+        assert proportionality([c * x for x in b], b) == c
+
+    @pytest.mark.parametrize("a, b", [
+        ([one, z], [one, one]),      # two ratios
+        ([one, zero], [one, one]),   # zero against nonzero
+        ([zero, one], [one, one]),
+        ([zero, zero], [zero, zero]),
+    ])
+    def test_none(self, a, b):
+        assert proportionality(a, b) is None
+
+    def test_lengths_must_match(self):
+        with pytest.raises(ValueError):
+            proportionality([one], [one, one])
 
 
 class TestKronFlip:
