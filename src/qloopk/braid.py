@@ -25,7 +25,7 @@ from functools import lru_cache
 from .linalg import Mat, invert
 from .repcore import Rep, _at_point, pullback_chevalley_tau
 from .rootdata import (GradingShift, QSPParams, SatakeDiagram, bilinear,
-                       build_Y0, classical_in_root_basis, rho, theta_on_roots)
+                       build_Y0, classical_in_root_basis, theta_on_roots)
 from .scalars import Rat, one, p, q_factorial
 
 
@@ -90,7 +90,7 @@ def lusztig_T(rep: Rep, i: int) -> Mat:
 def braid_SX(rep: Rep, diagram: SatakeDiagram) -> Mat:
     """Product of Lusztig operators along a reduced word for w_X."""
     out = Mat.identity(rep.dim)
-    for i in diagram.wX_word():
+    for i in diagram.wX_word:
         out = out @ lusztig_T(rep, i)
     return out
 
@@ -98,10 +98,9 @@ def braid_SX(rep: Rep, diagram: SatakeDiagram) -> Mat:
 def _xi_exponent(diagram: SatakeDiagram, weight) -> Fraction:
     """q-exponent <theta(lam), lam>/2 + <lam, rho_X> for a classical weight
     given by its coroot values; any affine lift gives the same answer."""
-    cd = diagram.cartan
-    lam = classical_in_root_basis(cd, weight[1:])
-    th = theta_on_roots(diagram, lam)
-    return bilinear(th, lam) / 2 + bilinear(lam, rho(cd, diagram.X))
+    lam = classical_in_root_basis(diagram.cartan, weight[1:])
+    return (bilinear(theta_on_roots(diagram, lam), lam) / 2
+            + bilinear(lam, diagram.rho_X))
 
 
 def cartan_correction(rep: Rep, diagram: SatakeDiagram) -> Mat:

@@ -38,9 +38,8 @@ from .linalg import (Mat, intertwiner_kernel, kron, permute, proportionality,
                      swap)
 from .repcore import Rep, ell_highest_indices
 from .rmat import CheckReport, _first_nonzero, _R_at, check_product
-from .rootdata import (GradingShift, QSPParams, SatakeDiagram,
-                       classical_in_root_basis, shift_exponent,
-                       theta_on_coroots, theta_on_roots)
+from .rootdata import (GradingShift, QSPParams, classical_in_root_basis,
+                       shift_exponent, theta_on_roots)
 from .scalars import Rat, _reduced, z as z_var, w as w_var
 
 
@@ -58,30 +57,6 @@ class NotRestrictable(KmatError):
 
 class NotInvolutive(KmatError):
     pass
-
-
-def _cartan_fixed_generators(diagram: SatakeDiagram) -> list[tuple[int, ...]]:
-    """Integer basis of the theta-fixed part of the affine coroot lattice."""
-    import sympy as sp
-    cd = diagram.cartan
-    n1 = len(cd.a)
-    cols = []
-    for i in range(n1):
-        e = [Fraction(0)] * n1
-        e[i] = Fraction(1)
-        cols.append(theta_on_coroots(diagram, tuple(e)))
-    m = sp.Matrix(n1, n1, lambda r, c: sp.Rational(cols[c][r]) - (1 if r == c else 0))
-    out = []
-    for v in m.nullspace():
-        den = sp.lcm([sp.Rational(x).q for x in v])
-        w = [int(x * den) for x in v]
-        g = 0
-        for x in w:
-            g = sp.gcd(g, x)
-        if g:
-            w = [x // int(g) for x in w]
-        out.append(tuple(w))
-    return out
 
 
 def deformation_terms(rep: Rep, params: QSPParams, shift: GradingShift,
@@ -118,13 +93,11 @@ def qsp_generators(rep: Rep, params: QSPParams, shift: GradingShift,
         out.append((f"K{j}", rep.K[j]))
         out.append((f"K{j}^-1", rep.Kinv(j)))
     if diagram.restricted_rank() > 1:
-        for h in _cartan_fixed_generators(diagram):
+        for h in diagram.fixed_coroots:
             m = Mat.identity(rep.dim)
             for i, c in enumerate(h):
-                if c > 0:
-                    m = m @ rep.K[i].pow(c)
-                elif c < 0:
-                    m = m @ rep.Kinv(i).pow(-c)
+                if c:
+                    m = m @ (rep.K[i] if c > 0 else rep.Kinv(i)).pow(abs(c))
             out.append((f"Kh{h}", m))
     return out
 

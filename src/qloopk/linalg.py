@@ -41,6 +41,7 @@ Product identities ``A1 A2 ... = B1 B2 ...`` are decided by
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple
 
 from .scalars import (Rat, check_targets, clear_denominators, kronecker, one,
@@ -154,6 +155,9 @@ class Mat:
         return Mat(out)
 
     def pow(self, n: int) -> "Mat":
+        n = operator.index(n)
+        if n < 0:
+            raise ValueError(f"pow: negative exponent {n}")
         if self.nrows != self.ncols:
             raise ShapeMismatch("pow: not square")
         out = Mat.identity(self.nrows)

@@ -8,6 +8,7 @@ supplying those. Builders for the untwisted type-A series are provided.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -193,10 +194,6 @@ def longest_element(cartan: CartanDatum, X) -> tuple[int, ...]:
     chosen. Length equals |Delta_X^+|.
     """
     X = sorted(set(X))
-    if not X:
-        return ()
-    if len(X) == len(cartan.a):
-        raise NotFiniteType("X must be a proper subset")
     lam = rho(cartan, X)
     word: list[int] = []
     npos = len(positive_roots(cartan, X))
@@ -221,21 +218,20 @@ def opposition_involution(cartan: CartanDatum, X) -> dict[int, int]:
     """oi_X(i) = the unique j in X with w_X(alpha_i) = -alpha_j."""
     X = sorted(set(X))
     word = longest_element(cartan, X)
+    simple = {cartan.alpha(j).coords: j for j in X}
     out = {}
     for i in X:
         img = -weyl_act(cartan, word, cartan.alpha(i))
-        for j in X:
-            if img.coords == cartan.alpha(j).coords:
-                out[i] = j
-                break
-        else:
+        if img.coords not in simple:
             raise RootDataError("w_X did not permute simple roots of X")
+        out[i] = simple[img.coords]
     return out
 
 
 @dataclass(frozen=True)
 class SatakeDiagram:
-    """Generalized affine Satake diagram (X, tau) over a Cartan datum."""
+    """Generalized affine Satake diagram (X, tau) over a Cartan datum. What
+    depends only on (X, tau) is a cached_property, computed once per object."""
 
     cartan: CartanDatum
     X: tuple[int, ...]
@@ -246,8 +242,43 @@ class SatakeDiagram:
         if not rep.valid:
             raise RootDataError(f"invalid Satake diagram: {rep.condition}: {rep.detail}")
 
+    @functools.cached_property
     def wX_word(self) -> tuple[int, ...]:
+        """The canonical reduced word of w_X (:func:`longest_element`)."""
         return longest_element(self.cartan, self.X)
+
+    @functools.cached_property
+    def rho_X(self) -> RootVec:
+        return rho(self.cartan, self.X)
+
+    @functools.cached_property
+    def theta(self) -> tuple[tuple[int, ...], ...]:
+        """theta = -w_X ∘ tau as an integer matrix on the root lattice:
+        column j holds the coordinates of theta(alpha_j)."""
+        cd = self.cartan
+        cols = [-weyl_act(cd, self.wX_word, cd.alpha(self.tau[j]))
+                for j in cd.nodes]
+        return tuple(tuple(int(c.coords[i]) for c in cols) for i in cd.nodes)
+
+    @functools.cached_property
+    def fixed_coroots(self) -> tuple[tuple[int, ...], ...]:
+        """Integer vectors spanning the theta-fixed coroots over Q: theta is
+        an involution, so the fixed space is the image of 1 + theta. These
+        are the distinct nonzero columns of 1 + theta on coroots, made
+        primitive and kept once up to sign; a spanning set, not a basis.
+        That suffices for the Cartan part of the coideal: for generic q,
+        q^{lam(h)} = q^{mu(h)} holds exactly when lam(h) = mu(h), which is
+        linear in h, so a spanning set imposes on K what a basis does."""
+        d, th = self.cartan.d, self.theta
+        out: list[tuple[int, ...]] = []
+        for j in self.cartan.nodes:
+            # d_j times column j of 1 + theta on coroots (theta_on_coroots)
+            v = [d[j] * (i == j) + th[i][j] * d[i] for i in self.cartan.nodes]
+            g = math.gcd(*v)
+            v = tuple(x // g for x in v) if g else ()
+            if v and v not in out and tuple(-x for x in v) not in out:
+                out.append(v)
+        return tuple(out)
 
     def restricted_rank(self) -> int:
         rest = [i for i in self.cartan.nodes if i not in self.X]
@@ -396,28 +427,19 @@ class QSPParams:
 
 def theta_on_roots(diagram: SatakeDiagram, mu: RootVec) -> RootVec:
     """theta(mu) = -w_X(tau(mu)) on the affine root lattice."""
-    cd = diagram.cartan
-    if mu.cartan != cd:
+    if mu.cartan != diagram.cartan:
         raise DatumMismatch("vector not over the diagram's datum")
-    tau = diagram.tau
-    coords = [Fraction(0)] * len(cd.a)
-    for i, c in enumerate(mu.coords):
-        coords[tau[i]] += c
-    return -weyl_act(cd, diagram.wX_word(), RootVec(cd, tuple(coords)))
+    return RootVec(mu.cartan, tuple(
+        sum((t * c for t, c in zip(row, mu.coords) if t), Fraction(0))
+        for row in diagram.theta))
 
 
-def theta_on_coroots(diagram: SatakeDiagram, coords: tuple) -> tuple:
-    """theta on the affine coroot lattice, coords in the h_i basis."""
+def theta_on_coroots(diagram: SatakeDiagram, coords) -> tuple:
+    """theta on the affine coroot lattice, coords in the h_i basis: as
+    h_j = alpha_j / d_j, theta(h_j) = sum_i theta_ij d_i/d_j h_i."""
     cd = diagram.cartan
-    tau = diagram.tau
-    c = [Fraction(0)] * len(cd.a)
-    for i, x in enumerate(coords):
-        c[tau[i]] += Fraction(x)
-    # Weyl action on coroots: s_i(h_j) = h_j - a_ji h_i
-    for i in reversed(diagram.wX_word()):
-        pairing = sum(c[j] * cd.a[j][i] for j in cd.nodes)
-        c[i] -= pairing
-    return tuple(-x for x in c)
+    mu = RootVec(cd, tuple(Fraction(x, k) for x, k in zip(coords, cd.d)))
+    return tuple(y * k for y, k in zip(theta_on_roots(diagram, mu).coords, cd.d))
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ class TestLusztigOperators:
 
     def test_braid_SX_word(self, vec3):
         d = SatakeDiagram(affine_A(2), (1, 2), (0, 2, 1))
-        assert d.wX_word() == (1, 2, 1)
+        assert d.wX_word == (1, 2, 1)
         assert braid_SX(vec3, d) == (lusztig_T(vec3, 1) @ lusztig_T(vec3, 2)
                                      @ lusztig_T(vec3, 1))
 

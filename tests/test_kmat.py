@@ -46,6 +46,33 @@ class TestGenerators:
         # restricted rank one: no extra Cartan generators
         assert not any(k.startswith("Kh") for k in gens)
 
+    def test_quasi_split_sl3_cartan_generator(self, vec3, b):
+        # X empty, tau = (0 2 1): restricted rank two, so the theta-fixed
+        # coroot h_1 - h_2 adds one Cartan generator K_h to the system
+        g1 = const("g1")
+        d = SatakeDiagram(affine_A(2), (), (0, 2, 1))
+        params = QSPParams(d, {0: one, 1: g1, 2: g1.inv()},
+                           {i: zero for i in range(3)})
+        shift = GradingShift.tau_minimal(d)
+        twist = TwistSpec(d, "semi-standard")
+        names = [k for k, _ in qsp_generators(vec3, params, shift, parse("z"))]
+        assert [k for k in names if k.startswith("Kh")] == ["Kh(0, 1, -1)"]
+        K = solve_K(vec3, twist, shift, params)
+        den = "(p*z^2*a^2*g1 + p*g1)"
+        assert K.to_json() == {
+            "matrix": [["1", "0", f"(-q*g1^2 + 1)/{den}"],
+                       ["0", f"(q*g1^2 + z^2*a^2)/{den}", "0"],
+                       [f"(q*z^2*a^2*g1^2 - z^2*a^2)/{den}", "0", "1"]],
+            "kernel_dim": 1, "twist": {"gauge": "semi-standard"},
+            "shift": [1, 0, 0],
+            "normalization": {
+                "mode": "first-entry", "flag": "non-canonical",
+                "reason": "image of the pseudo-highest-weight vector is not "
+                          "gauge-aligned",
+                "scalar": "1"}}
+        W = build_vector_rep_slN_eval(3, b)
+        assert verify_gre(vec3, W, twist, shift, params, KV=K).ok
+
 
 class TestSolve:
     def test_kernel_line_and_residual(self, fund, onsager, K_fund):
@@ -533,6 +560,21 @@ class TestUnitPointMemo:
         cli.main(["pipeline", "run", scenario])
         capsys.readouterr()
         assert len(eliminations) == count
+
+    def test_theta_built_once_per_diagram(self, capsys, eliminations,
+                                          monkeypatch):
+        # the diagrams are kept alive, so that no two share an id
+        built = []
+        theta = SatakeDiagram.theta.func
+
+        def spy(diagram):
+            built.append(diagram)
+            return theta(diagram)
+
+        monkeypatch.setattr(SatakeDiagram.theta, "func", spy)
+        cli.main(["pipeline", "run", "qonsager-sl2-fundamental"])
+        capsys.readouterr()
+        assert built and len({id(d) for d in built}) == len(built)
 
     def test_memo_serves_fresh_results(self, a, b, onsager_sigma0):
         o = onsager_sigma0

@@ -32,6 +32,13 @@ class TestMat:
         m = Mat([[one, one], [zero, one]])
         assert m.pow(3)[0, 1] == Rat(3)
 
+    def test_pow_rejects_negative_and_non_integer_exponents(self):
+        # a negative n once looped forever; a Fraction failed inside n & 1
+        with pytest.raises(ValueError):
+            Mat.identity(2).pow(-1)
+        with pytest.raises(TypeError):
+            Mat.identity(2).pow(Fraction(1))
+
     @given(a=small_mat(2), b=small_mat(2), c=small_mat(2))
     @settings(max_examples=30, deadline=None)
     def test_distributivity(self, a, b, c):

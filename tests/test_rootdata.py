@@ -1,6 +1,9 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -155,6 +158,69 @@ class TestTheta:
         d = SatakeDiagram(affine_A(3), (2,), (0, 3, 2, 1))
         e = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
         assert theta_on_coroots(d, theta_on_coroots(d, e)) == e
+
+
+def _all_valid_diagrams(n):
+    """Every valid generalized Satake diagram of affine A_n: all proper
+    subsets X and all involutive permutations tau."""
+    cd = affine_A(n)
+    nodes = range(n + 1)
+    taus = [t for t in itertools.permutations(nodes)
+            if all(t[t[i]] == i for i in nodes)]
+    for k in range(n + 1):
+        for X in itertools.combinations(nodes, k):
+            for tau in taus:
+                if validate_gsat(cd, X, tau).valid:
+                    yield SatakeDiagram(cd, X, tau)
+
+
+def _theta_on_coroots_walk(diagram, coords):
+    """theta on coroots by the Weyl walk s_i(h_j) = h_j - a_ji h_i: the
+    reference for the matrix form."""
+    cd = diagram.cartan
+    c = [Fraction(0)] * len(cd.a)
+    for i, x in enumerate(coords):
+        c[diagram.tau[i]] += Fraction(x)
+    for i in reversed(diagram.wX_word):
+        c[i] -= sum(c[j] * cd.a[j][i] for j in cd.nodes)
+    return tuple(-x for x in c)
+
+
+def _fixed_coroots_nullspace(diagram):
+    """A basis of the theta-fixed coroots, the sympy nullspace of theta - 1:
+    the reference for the columns of 1 + theta."""
+    n1 = len(diagram.cartan.a)
+    cols = [_theta_on_coroots_walk(diagram, tuple(int(i == j) for i in range(n1)))
+            for j in range(n1)]
+    m = sp.Matrix(n1, n1, lambda r, c: sp.Rational(cols[c][r]) - (r == c))
+    return m.nullspace()
+
+
+class TestThetaOracle:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_all_diagrams(self, n):
+        def rank(vs):
+            return sp.Matrix.hstack(*vs).rank() if vs else 0
+
+        diagrams = list(_all_valid_diagrams(n))
+        assert len(diagrams) == {1: 4, 2: 10, 3: 22, 4: 31}[n]
+        for d in diagrams:
+            cd = d.cartan
+            th = sp.Matrix(d.theta)
+            assert th * th == sp.eye(n + 1)
+            for j in cd.nodes:
+                al = cd.alpha(j)
+                tau_al = cd.alpha(d.tau[j])
+                assert theta_on_roots(d, al) == -weyl_act(cd, d.wX_word, tau_al)
+                e = al.coords
+                assert theta_on_coroots(d, e) == _theta_on_coroots_walk(d, e)
+            vs = d.fixed_coroots
+            assert all(math.gcd(*v) == 1 for v in vs)
+            assert len({frozenset({v, tuple(-x for x in v)}) for v in vs}) \
+                == len(vs)
+            fixed = [sp.Matrix(v) for v in vs]
+            ref = _fixed_coroots_nullspace(d)
+            assert rank(fixed) == rank(ref) == rank(fixed + ref)
 
 
 class TestShifts:
