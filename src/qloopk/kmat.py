@@ -94,11 +94,7 @@ def qsp_generators(rep: Rep, params: QSPParams, shift: GradingShift,
         out.append((f"K{j}^-1", rep.Kinv(j)))
     if diagram.restricted_rank() > 1:
         for h in diagram.fixed_coroots:
-            m = Mat.identity(rep.dim)
-            for i, c in enumerate(h):
-                if c:
-                    m = m @ (rep.K[i] if c > 0 else rep.Kinv(i)).pow(abs(c))
-            out.append((f"Kh{h}", m))
+            out.append((f"Kh{h}", rep.Kh(h)))
     return out
 
 
@@ -250,7 +246,7 @@ def verify_standard_re(V: Rep, W: Rep, params: QSPParams,
     KV = solve_K(V, twist, shift, params)
     KW = KV if W.same_module(V) else solve_K(W, twist, shift, params)
     for K, M, name in ((KV, V, "V"), (KW, W, "W")):
-        if not K.target.same_action(M):
+        if not K.target.same_module(M):
             return CheckReport(False, f"twist does not fix {name}; "
                                       "standard form unavailable")
     return verify_gre(V, W, twist, shift, params, KV, KW)
@@ -263,7 +259,7 @@ def verify_K_unitarity(V: Rep, twist: TwistSpec, shift: GradingShift,
     if KV.normalization.get("mode") != "gauge-hw":
         return CheckReport(False, "source K not gauge-normalizable")
     Vt = KV.target
-    if not realize_twist(Vt, twist).same_action(V):
+    if not realize_twist(Vt, twist).same_module(V):
         raise NotInvolutive("psi^2 does not fix the module")
     Kt = solve_K(Vt, twist, shift, params, normalize=False)
     Kt = normalize_K_paired(Kt, V, twist)

@@ -423,7 +423,8 @@ def invert(m: Mat) -> Mat:
     if m.nrows != m.ncols:
         raise NotInvertible("not square")
     n = m.nrows
-    aug = Mat([row[:] + Mat.identity(n).data[i] for i, row in enumerate(m.data)])
+    eye = Mat.identity(n).data
+    aug = Mat([row + eye[i] for i, row in enumerate(m.data)])
     r, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
         raise NotInvertible("singular matrix")

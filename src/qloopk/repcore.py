@@ -1,12 +1,14 @@
 """Finite-dimensional evaluation representations of quantum loop algebras.
 
-A representation stores explicit matrices for the Chevalley generators
-E_i, F_i, K_i on all affine nodes, together with the affine weight of every
-basis vector (values on the coroots h_0..h_n, summing against the comarks to
-zero since the central charge acts trivially). Builders for the standard
-spin-j evaluation modules of the affine sl2 and the vector evaluation module
-of affine slN are provided; everything downstream only consumes the matrices,
-so further modules can be plugged in directly.
+A representation is its matrices for the Chevalley generators E_i, F_i on
+all affine nodes, together with the affine weight of every basis vector
+(values on the coroots h_0..h_n, summing against the comarks to zero since
+the central charge acts trivially). The modules are of type 1, so K_i acts
+on a vector of weight λ by q_i^{λ(h_i)}: K_i and K_i⁻¹ are read off the
+weights, not stored. Builders for the standard spin-j evaluation modules of
+the affine sl2 and the vector evaluation module of affine slN are provided;
+everything downstream only consumes the matrices, so further modules can be
+plugged in directly.
 
 The builders make each module from one unit-point module per (kind, size),
 built once: the evaluation point a enters only through E_0 = a·E_0° and
@@ -21,9 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .linalg import Mat, kron
+from .linalg import Mat, invert, kron
 from .rootdata import CartanDatum, DatumMismatch, affine_A
 from .scalars import Rat, one, q_binomial, q_int
 
@@ -34,7 +36,8 @@ class RepError(Exception):
 
 @dataclass(eq=False)
 class Rep:
-    """A module given by its generator matrices and basis weights.
+    """A module given by its E_i, F_i and basis weights; K_i and K_i⁻¹ are
+    read off the weights (:meth:`Kh`), once per unit-point module.
 
     ``point`` is the evaluation point a of a module made by
     :func:`_at_point`, whose node-0 matrices are a^{±1} times those of the
@@ -44,72 +47,81 @@ class Rep:
     ``dataclasses.replace``) has ``point = 1`` and is its own unit-point
     module. ``_pullback_of`` is (U, τ) for a module built as (ωτ)*U by
     :func:`pullback_chevalley_tau`. Equality and hashing are by identity;
-    :meth:`same_action` and :meth:`same_module` compare modules.
+    :meth:`same_module` compares modules.
     """
 
     cartan: CartanDatum
     dim: int
     E: dict[int, Mat]
     F: dict[int, Mat]
-    K: dict[int, Mat]
     weights: tuple[tuple[Fraction, ...], ...]  # weights[k][i] = lambda_k(h_i)
     label: str = ""
     point: Rat = field(default=one, init=False)
     _unit: "Rep | None" = field(default=None, init=False, repr=False)
     _pullback_of: "tuple[Rep, tuple[int, ...]] | None" = field(
         default=None, init=False, repr=False)
-    _Kinv: dict[int, Mat] = field(default_factory=dict, init=False, repr=False)
 
     @property
     def unit(self) -> "Rep":
         """The module at evaluation point 1 that this one rescales."""
         return self._unit or self
 
+    def Kh(self, h) -> Mat:
+        """K_h = Π_i K_i^{h_i} for integers h_i: the diagonal
+        q^{Σ_i h_i d_i λ(h_i)} on a basis vector of weight λ."""
+        d = self.cartan.d
+        return Mat.diagonal([
+            _q_power(sum(c * d[i] * wt[i] for i, c in enumerate(h) if c))
+            for wt in self.weights])
+
+    @cached_property
+    def _K_pm(self) -> tuple[dict[int, Mat], dict[int, Mat]]:
+        """K_i and K_i⁻¹ on every node, built once per unit-point module: a
+        module at another point has its unit's weights and shares them."""
+        if self._unit is not None:
+            return self._unit._K_pm
+        nodes = self.cartan.nodes
+        return tuple({i: self.Kh([s * (j == i) for j in nodes]) for i in nodes}
+                     for s in (1, -1))
+
+    @property
+    def K(self) -> dict[int, Mat]:
+        return self._K_pm[0]
+
     def Kinv(self, i: int) -> Mat:
-        if i not in self._Kinv:
-            # K_i is diagonal in every module we build
-            self._Kinv[i] = Mat.diagonal([self.K[i][k, k].inv()
-                                          for k in range(self.dim)])
-        return self._Kinv[i]
+        return self._K_pm[1][i]
 
     def classical_weight(self, k: int) -> tuple[Fraction, ...]:
         return self.weights[k][1:]
 
-    def same_action(self, other: "Rep") -> bool:
-        """Whether both modules give every E_i, F_i, K_i the same matrix."""
-        return all(self.E[i] == other.E[i] and self.F[i] == other.F[i]
-                   and self.K[i] == other.K[i] for i in self.cartan.nodes)
-
     def same_module(self, other: "Rep") -> bool:
-        """Same action and same weights: equal modules, whatever their labels."""
-        return self.same_action(other) and self.weights == other.weights
+        """Same weights, E_i and F_i: equal modules, whatever the labels."""
+        return self.weights == other.weights and all(
+            self.E[i] == other.E[i] and self.F[i] == other.F[i]
+            for i in self.cartan.nodes)
 
     def conjugated(self, C: Mat, label: str = "") -> "Rep":
         """The equivalent module with action x ↦ C x C^{-1}.
 
-        Every C K_i C^{-1} must be diagonal (else this raises). Then C e_j is
-        a weight vector of e_j's weight, so each e_k with C[k, j] ≠ 0 has
-        that weight: the first such j in row k gives e_k's.
+        Every C K_i C^{-1} must be diagonal: then C e_j is a weight vector of
+        e_j's weight, so row k of C lies in one weight space, e_k's. A row
+        that mixes weight spaces raises.
         """
-        from .linalg import invert
         Ci = invert(C)
-
-        def conj(m: Mat) -> Mat:
-            return C @ m @ Ci
-
-        newK = {i: conj(self.K[i]) for i in self.cartan.nodes}
-        for i, m in newK.items():
-            if m != Mat.diagonal([m[k, k] for k in range(self.dim)]):
-                raise RepError(f"conjugated K_{i} is not diagonal")
-        weights = tuple(self.weights[next(j for j, x in enumerate(row)
-                                          if not x.is_zero())]
-                        for row in C.data)
+        weights = []
+        for k, row in enumerate(C.data):
+            ws = {wt for wt, x in zip(self.weights, row) if not x.is_zero()}
+            if len(ws) != 1:
+                raise RepError(f"row {k} of C mixes weight spaces: "
+                               "conjugated K is not diagonal")
+            weights.append(ws.pop())
         return Rep(self.cartan, self.dim,
-                   {i: conj(self.E[i]) for i in self.cartan.nodes},
-                   {i: conj(self.F[i]) for i in self.cartan.nodes},
-                   newK, weights, label or (self.label + ".conj"))
+                   {i: C @ self.E[i] @ Ci for i in self.cartan.nodes},
+                   {i: C @ self.F[i] @ Ci for i in self.cartan.nodes},
+                   tuple(weights), label or (self.label + ".conj"))
 
 
+@lru_cache(maxsize=None)
 def _q_power(expo) -> Rat:
     """q**e for a (half-)integer e, via the square root p."""
     e = Fraction(expo)
@@ -133,8 +145,7 @@ def _evaluation_point(a) -> Rat:
 def _at_point(unit: Rep, a: Rat, label: str) -> Rep:
     """``unit`` at evaluation point ``a``: E_0 = a·E_0°, F_0 = a⁻¹·F_0°."""
     rep = Rep(unit.cartan, unit.dim, {**unit.E, 0: unit.E[0].scale(a)},
-              {**unit.F, 0: unit.F[0].scale(a.inv())}, dict(unit.K),
-              unit.weights, label)
+              {**unit.F, 0: unit.F[0].scale(a.inv())}, unit.weights, label)
     rep.point, rep._unit = a, unit
     return rep
 
@@ -162,12 +173,10 @@ def _unit_eval_sl2(spin2: int) -> Rep:
             E1.data[k - 1][k] = q_int(k)
         if k + 1 < n:
             F1.data[k + 1][k] = q_int(spin2 - k)
-    K1 = Mat.diagonal([_q_power(spin2 - 2 * k) for k in range(n)])
-    K0 = Mat.diagonal([_q_power(2 * k - spin2) for k in range(n)])
     weights = tuple((Fraction(2 * k - spin2), Fraction(spin2 - 2 * k))
                     for k in range(n))
-    return Rep(cd, n, {0: F1, 1: E1}, {0: E1, 1: F1}, {0: K0, 1: K1},
-               weights, f"sl2-spin{spin2}/2(a=1)")
+    return Rep(cd, n, {0: F1, 1: E1}, {0: E1, 1: F1}, weights,
+               f"sl2-spin{spin2}/2(a=1)")
 
 
 def build_vector_rep_slN_eval(N: int, a) -> Rep:
@@ -191,8 +200,7 @@ def _unit_vector_slN(N: int) -> Rep:
         for i in range(1, N):
             row.append(Fraction((1 if k == i else 0) - (1 if k == i + 1 else 0)))
         weights.append(tuple(row))
-    K = {i: Mat.diagonal([_q_power(w[i]) for w in weights]) for i in cd.nodes}
-    return Rep(cd, N, E, F, K, tuple(weights), f"sl{N}-vector(a=1)")
+    return Rep(cd, N, E, F, tuple(weights), f"sl{N}-vector(a=1)")
 
 
 def build_rep(spec: dict) -> Rep:
@@ -226,11 +234,7 @@ def verify_relations(rep: Rep) -> RelationReport:
     qmqi = q - q.inv()
     for i in cd.nodes:
         Ki, Kiv = rep.K[i], rep.Kinv(i)
-        if not (Ki @ Kiv).is_identity():
-            fails.append(f"K_{i} not invertible as stored")
         for j in cd.nodes:
-            if not _comm(Ki, rep.K[j]).is_zero():
-                fails.append(f"[K_{i}, K_{j}] != 0")
             sc = p ** (2 * cd.d[i] * cd.a[i][j])
             if not (Ki @ rep.E[j] @ Kiv - rep.E[j].scale(sc)).is_zero():
                 fails.append(f"K_{i} E_{j} K_{i}^-1 != q_i^a_ij E_{j}")
@@ -253,17 +257,9 @@ def verify_relations(rep: Rep) -> RelationReport:
                     if not acc.is_zero():
                         fails.append(f"Serre({name}_{i}, {name}_{j}) != 0")
     # trivial central charge: product of K_i over the comarks is the identity
-    prod = Mat.identity(rep.dim)
-    for i in cd.nodes:
-        dual_mark = cd.marks[i] * cd.d[i] // cd.d[0]
-        prod = prod @ rep.K[i].pow(dual_mark)
-    if not prod.is_identity():
+    dual_marks = [cd.marks[i] * cd.d[i] // cd.d[0] for i in cd.nodes]
+    if not rep.Kh(dual_marks).is_identity():
         fails.append("central K product != 1")
-    # weight bookkeeping matches the K action
-    for k in range(rep.dim):
-        for i in cd.nodes:
-            if rep.K[i][k, k] != _q_power(Fraction(cd.d[i]) * rep.weights[k][i]):
-                fails.append(f"weight of basis vector {k} at node {i} inconsistent")
     return RelationReport(not fails, tuple(dict.fromkeys(fails)))
 
 
@@ -290,14 +286,12 @@ def tensor(v: Rep, w: Rep) -> Rep:
     if v.cartan != w.cartan:
         raise DatumMismatch("tensor factors over different data")
     cd = v.cartan
-    E, F, K = {}, {}, {}
+    E, F = {}, {}
     for i in cd.nodes:
         E[i], F[i] = coproduct(v, w, i)
-        K[i] = kron(v.K[i], w.K[i])
     weights = tuple(tuple(a + b for a, b in zip(v.weights[k], w.weights[l]))
                     for k in range(v.dim) for l in range(w.dim))
-    return Rep(cd, v.dim * w.dim, E, F, K, weights,
-               f"({v.label})⊗({w.label})")
+    return Rep(cd, v.dim * w.dim, E, F, weights, f"({v.label})⊗({w.label})")
 
 
 def pullback_chevalley_tau(rep: Rep, tau) -> Rep:
@@ -307,9 +301,8 @@ def pullback_chevalley_tau(rep: Rep, tau) -> Rep:
     cd = rep.cartan
     E = {i: -rep.F[tau[i]] for i in cd.nodes}
     F = {i: -rep.E[tau[i]] for i in cd.nodes}
-    K = {i: rep.Kinv(tau[i]) for i in cd.nodes}
     weights = tuple(tuple(-wt[tau[i]] for i in cd.nodes) for wt in rep.weights)
-    out = Rep(cd, rep.dim, E, F, K, weights, f"(ωτ)*({rep.label})")
+    out = Rep(cd, rep.dim, E, F, weights, f"(ωτ)*({rep.label})")
     out._pullback_of = (rep, tau)
     return out
 

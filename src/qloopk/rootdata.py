@@ -156,9 +156,14 @@ def weyl_act(cartan: CartanDatum, word, mu: RootVec) -> RootVec:
     return out
 
 
-def positive_roots(cartan: CartanDatum, X) -> list[RootVec]:
-    """Positive roots of the finite subsystem on X, by reflection closure."""
-    X = sorted(set(X))
+def positive_roots(cartan: CartanDatum, X) -> tuple[RootVec, ...]:
+    """Positive roots of the finite subsystem on X, by reflection closure;
+    found once per (datum, X)."""
+    return _positive_roots(cartan, tuple(sorted(set(X))))
+
+
+@functools.lru_cache(maxsize=None)
+def _positive_roots(cartan: CartanDatum, X: tuple) -> tuple[RootVec, ...]:
     if len(X) == len(cartan.a):
         raise NotFiniteType("X must be a proper subset")
     roots = {cartan.alpha(i).coords for i in X}
@@ -176,7 +181,7 @@ def positive_roots(cartan: CartanDatum, X) -> list[RootVec]:
         frontier = new
         if len(roots) > bound:
             raise NotFiniteType(f"subsystem on {X} does not close up")
-    return [RootVec(cartan, c) for c in sorted(roots)]
+    return tuple(RootVec(cartan, c) for c in sorted(roots))
 
 
 def rho(cartan: CartanDatum, X) -> RootVec:
@@ -188,12 +193,17 @@ def rho(cartan: CartanDatum, X) -> RootVec:
 
 
 def longest_element(cartan: CartanDatum, X) -> tuple[int, ...]:
-    """Canonical reduced word for w_X by greedy descent on rho_X.
+    """Canonical reduced word for w_X by greedy descent on rho_X, found once
+    per (datum, X).
 
     Deterministic: at each step the smallest node with positive pairing is
     chosen. Length equals |Delta_X^+|.
     """
-    X = sorted(set(X))
+    return _longest_element(cartan, tuple(sorted(set(X))))
+
+
+@functools.lru_cache(maxsize=None)
+def _longest_element(cartan: CartanDatum, X: tuple) -> tuple[int, ...]:
     lam = rho(cartan, X)
     word: list[int] = []
     npos = len(positive_roots(cartan, X))
@@ -272,7 +282,8 @@ class SatakeDiagram:
         d, th = self.cartan.d, self.theta
         out: list[tuple[int, ...]] = []
         for j in self.cartan.nodes:
-            # d_j times column j of 1 + theta on coroots (theta_on_coroots)
+            # d_j times column j of 1 + theta on coroots: as h_j =
+            # alpha_j / d_j, theta(h_j) = sum_i theta_ij d_i/d_j h_i
             v = [d[j] * (i == j) + th[i][j] * d[i] for i in self.cartan.nodes]
             g = math.gcd(*v)
             v = tuple(x // g for x in v) if g else ()
@@ -432,14 +443,6 @@ def theta_on_roots(diagram: SatakeDiagram, mu: RootVec) -> RootVec:
     return RootVec(mu.cartan, tuple(
         sum((t * c for t, c in zip(row, mu.coords) if t), Fraction(0))
         for row in diagram.theta))
-
-
-def theta_on_coroots(diagram: SatakeDiagram, coords) -> tuple:
-    """theta on the affine coroot lattice, coords in the h_i basis: as
-    h_j = alpha_j / d_j, theta(h_j) = sum_i theta_ij d_i/d_j h_i."""
-    cd = diagram.cartan
-    mu = RootVec(cd, tuple(Fraction(x, k) for x, k in zip(coords, cd.d)))
-    return tuple(y * k for y, k in zip(theta_on_roots(diagram, mu).coords, cd.d))
 
 
 @dataclass(frozen=True)

@@ -170,16 +170,19 @@ class TestTwists:
 
 def _realize_twist_reference(rep, spec):
     """The twist realized at the module's own point, with the pullback along
-    ω∘τ written out: realize_twist as it was before the orbit rule."""
+    ω∘τ written out: realize_twist as it was before the orbit rule. Also
+    returns its K_i constructed from the module's: K_{τ(i)}⁻¹, conjugated
+    by the gauge's C."""
     nodes, tau = rep.cartan.nodes, spec.diagram.tau
     pulled = Rep(rep.cartan, rep.dim, {i: -rep.F[tau[i]] for i in nodes},
                  {i: -rep.E[tau[i]] for i in nodes},
-                 {i: rep.Kinv(tau[i]) for i in nodes},
                  tuple(tuple(-wt[tau[i]] for i in nodes) for wt in rep.weights))
+    K = {i: invert(rep.K[tau[i]]) for i in nodes}
     if spec.gauge == "semi-standard":
-        return pulled
+        return pulled, K
     C = gauge_matrix(rep, spec) @ invert(t_theta_matrix(pulled, spec.diagram))
-    return pulled.conjugated(C)
+    Ci = invert(C)
+    return pulled.conjugated(C), {i: C @ K[i] @ Ci for i in nodes}
 
 
 def _twist_specs(diagram):
@@ -214,10 +217,14 @@ class TestRealizationOracle:
         for x in (a, Rat(2), 1 + q, Rat(-1), one):
             V = build(x)
             Vt = realize_twist(V, spec)
-            target = _realize_twist_reference(V, spec)
+            target, K = _realize_twist_reference(V, spec)
             assert Vt.weights == target.weights
-            assert Vt.same_action(target)
+            assert Vt.same_module(target)
             assert Vt.point == x.inv()
+            # K_i read off the twist's weights is the constructed one
+            for i in V.cartan.nodes:
+                assert Vt.K[i] == K[i]
+                assert (Vt.K[i] @ Vt.Kinv(i)).is_identity()
 
     @pytest.mark.parametrize("gauge", ["semi-standard", "standard",
                                        "auxiliary", "diagonal"])

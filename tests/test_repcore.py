@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from qloopk.braid import realize_twist
-from qloopk.linalg import Mat
+from qloopk.linalg import Mat, invert, kron
 from qloopk.repcore import (RepError, build_eval_rep_sl2, build_rep,
                             build_vector_rep_slN_eval, coproduct,
                             ell_highest_indices, pullback_chevalley_tau,
@@ -175,6 +175,22 @@ class TestStructure:
             assert all(moved.weights[k] == rep.weights[j]
                        for j, k in enumerate(perm))
             assert verify_relations(moved).ok
+            Ci = invert(C)
+            _assert_K(moved, {i: C @ rep.K[i] @ Ci for i in rep.cartan.nodes})
+
+    def test_conjugated_mixes_one_weight_space(self, fund, fund_b, a):
+        # basis vectors 1 and 2 of fund ⊗ fund both have weight 0: a C that
+        # mixes only them is accepted, and keeps the weights and K
+        T = tensor(fund, fund_b)
+        C = Mat.identity(4)
+        C.data[1][2], C.data[2][1] = a, -one
+        moved = T.conjugated(C)
+        assert moved.weights == T.weights
+        Ci = invert(C)
+        _assert_K(moved, {i: C @ T.K[i] @ Ci for i in T.cartan.nodes})
+        assert all(moved.K[i] == T.K[i] for i in T.cartan.nodes)
+        report = verify_relations(moved)
+        assert report.ok, report.failures
 
     def test_conjugated_rejects_nondiagonal_K(self, fund):
         # C = [[1, 1], [0, 1]] mixes the two weight vectors: C K_1 C^-1 has
@@ -184,3 +200,38 @@ class TestStructure:
 
     def test_kinv(self, fund):
         assert fund.K[1] @ fund.Kinv(1) == Mat.identity(2)
+
+
+def _assert_K(rep, K_ref):
+    """K_i, read off the weights, equals the constructed ``K_ref[i]``, and
+    K_i K_i⁻¹ is the identity."""
+    for i in rep.cartan.nodes:
+        assert rep.K[i] == K_ref[i]
+        assert (rep.K[i] @ rep.Kinv(i)).is_identity()
+
+
+class TestDerivedK:
+    """K_i and K_i⁻¹ read off the weights, against the Cartan action that
+    each construction gives from the matrices of the modules it starts from;
+    the conjugates are in TestStructure, the twists in test_braid."""
+
+    @pytest.mark.parametrize("spin2", [1, 2, 3])
+    def test_sl2_builder(self, a, spin2):
+        # K_1 = q^{2j - 2k} on v_k, and K_0 = K_1⁻¹
+        K1 = Mat.diagonal([p ** (2 * spin2 - 4 * k) for k in range(spin2 + 1)])
+        _assert_K(build_eval_rep_sl2(spin2, a), {0: invert(K1), 1: K1})
+
+    @pytest.mark.parametrize("factors", [
+        lambda a, b: (build_eval_rep_sl2(1, a), build_eval_rep_sl2(2, b)),
+        lambda a, b: (build_vector_rep_slN_eval(3, a),
+                      build_vector_rep_slN_eval(3, b))],
+        ids=["spin1/2⊗spin1", "sl3-vector⊗sl3-vector"])
+    def test_tensor(self, a, b, factors):
+        V, W = factors(a, b)
+        _assert_K(tensor(V, W),
+                  {i: kron(V.K[i], W.K[i]) for i in V.cartan.nodes})
+
+    @pytest.mark.parametrize("tau", [(0, 1), (1, 0)])
+    def test_pullback(self, spin1, tau):
+        _assert_K(pullback_chevalley_tau(spin1, tau),
+                  {i: invert(spin1.K[tau[i]]) for i in (0, 1)})

@@ -322,7 +322,7 @@ def _pulled_back(M):
     at point 1: the reference for the twisted modules."""
     nodes = M.cartan.nodes
     return Rep(M.cartan, M.dim, {i: -M.F[i] for i in nodes},
-               {i: -M.E[i] for i in nodes}, {i: M.Kinv(i) for i in nodes},
+               {i: -M.E[i] for i in nodes},
                tuple(tuple(-x for x in wt) for wt in M.weights))
 
 

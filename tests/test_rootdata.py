@@ -12,8 +12,8 @@ from qloopk.rootdata import (CartanDatum, GradingShift, QSPParams,
                              bilinear, build_Y0, classical_in_root_basis,
                              longest_element, opposition_involution,
                              positive_roots, reflect, rho, shift_exponent,
-                             theta_on_coroots, theta_on_roots, validate_gsat,
-                             validate_params, weyl_act)
+                             theta_on_roots, validate_gsat, validate_params,
+                             weyl_act)
 from qloopk.scalars import Rat, const, one, zero
 
 
@@ -154,11 +154,6 @@ class TestTheta:
         # automorphism of that root system
         assert img.coords[0] == 0
 
-    def test_coroot_involution(self):
-        d = SatakeDiagram(affine_A(3), (2,), (0, 3, 2, 1))
-        e = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
-        assert theta_on_coroots(d, theta_on_coroots(d, e)) == e
-
 
 def _all_valid_diagrams(n):
     """Every valid generalized Satake diagram of affine A_n: all proper
@@ -212,8 +207,10 @@ class TestThetaOracle:
                 al = cd.alpha(j)
                 tau_al = cd.alpha(d.tau[j])
                 assert theta_on_roots(d, al) == -weyl_act(cd, d.wX_word, tau_al)
-                e = al.coords
-                assert theta_on_coroots(d, e) == _theta_on_coroots_walk(d, e)
+                # theta(h_j) = sum_i theta_ij d_i/d_j h_i, read off the matrix
+                assert tuple(Fraction(d.theta[i][j] * cd.d[i], cd.d[j])
+                             for i in cd.nodes) \
+                    == _theta_on_coroots_walk(d, al.coords)
             vs = d.fixed_coroots
             assert all(math.gcd(*v) == 1 for v in vs)
             assert len({frozenset({v, tuple(-x for x in v)}) for v in vs}) \
